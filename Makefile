@@ -37,7 +37,7 @@ lint-dataflow:
 	$(GO) run ./cmd/mrmlint -enable=epsbudget,ledgercharge,poolescape ./...
 
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x .
+	$(GO) test -run=NONE -bench=. -benchtime=1x . ./internal/lump
 	$(GO) run ./cmd/perfbench -compare
 	$(GO) run ./cmd/perfbench -json BENCH_PR7.json -workers-sweep
 	$(GO) run ./cmd/mrmlint -bench-json BENCH_PR8.json ./...

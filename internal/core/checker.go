@@ -19,7 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/performability/csrl/internal/discretise"
@@ -90,11 +90,15 @@ func (l LumpMode) enabled() bool { return l != LumpOff }
 
 // lumpMaxRounds caps the refinement rounds of the automatic pre-pass.
 // Refinement needs as many rounds as the distance over which rate
-// differences must propagate to separate states — up to O(n) on chains —
-// while each round costs a full pass over the rate matrix. A quotient
-// that has not stabilised within the cap is abandoned and the formula is
-// checked unlumped: the pre-pass must never cost more than the sweep time
-// it could save. Explicit lump.QuotientRespecting calls remain uncapped.
+// differences must propagate to separate states — up to O(n) on chains.
+// A round re-signs only the states of blocks with an edge into a block
+// that the previous round split, so its cost follows the splits rather
+// than the model size; but a model still splitting after many rounds is
+// one whose differences reach far, and such models rarely lump much. A
+// quotient that has not stabilised within the cap is abandoned and the
+// formula is checked unlumped: the pre-pass must never cost more than the
+// sweep time it could save. Explicit lump.QuotientRespecting calls remain
+// uncapped.
 const lumpMaxRounds = 64
 
 // Options configures the checker.
@@ -683,14 +687,17 @@ func (c *Checker) steadyProb(f logic.StateFormula) ([]float64, error) {
 // atomic propositions: it returns the checker to evaluate on and, when the
 // pre-pass produced a proper quotient, the lump result to lift verdicts
 // back through (nil when evaluation runs on c itself). Outcomes are
-// memoised per sorted atom set, so one quotient serves every formula over
-// the same propositions; the quotient sub-checker owns its own memo and
-// pool, keyed to the quotient model, and shares the Obs recorder.
+// memoised per atom set — sorted and deduplicated, so a proposition
+// shared by both sides of an until keys the same quotient as the whole
+// formula — and one quotient serves every formula over the same
+// propositions; the quotient sub-checker owns its own memo and pool,
+// keyed to the quotient model, and shares the Obs recorder.
 func (c *Checker) lumpFor(atoms []string) (*Checker, *lump.Result, error) {
 	if !c.opts.Lump.enabled() || c.memo == nil || c.m.HasImpulses() {
 		return c, nil, nil
 	}
-	sort.Strings(atoms)
+	slices.Sort(atoms)
+	atoms = slices.Compact(atoms)
 	key := strings.Join(atoms, "\x00")
 	entry := c.memo.lump(key, func() *lumpEntry { return c.buildLump(atoms) })
 	if entry == nil || entry.sub == nil {

@@ -180,3 +180,32 @@ func TestLumpPrePassMemoised(t *testing.T) {
 		t.Errorf("expected exactly one quotient build, spans: %v", rep.Spans)
 	}
 }
+
+// TestLumpKeyDeduplicatesAtoms checks that UntilProbBatch, whose two sides
+// of `!down U down` both name down, reuses the quotient PathProb built for
+// the same until instead of keying a second one on the repeated atom.
+func TestLumpKeyDeduplicatesAtoms(t *testing.T) {
+	m := lumpTestModel(t)
+	opts := DefaultOptions()
+	opts.Obs = obs.New()
+	c := New(m, opts)
+	p := logic.MustParse("P=? [ !down U{t<=2, r<=3} down ]").(logic.Prob)
+	single, err := c.PathProb(p.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := p.Path.(logic.Until)
+	batch, err := c.UntilProbBatch(u.Left, u.Right, 2, []float64{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range single {
+		if math.Float64bits(batch[0][s]) != math.Float64bits(single[s]) {
+			t.Fatalf("state %d: batch %g vs single %g", s, batch[0][s], single[s])
+		}
+	}
+	rep := c.NumericsReport()
+	if span, ok := rep.Spans["core.lump"]; !ok || span.Count != 1 {
+		t.Errorf("expected exactly one quotient build, spans: %v", rep.Spans)
+	}
+}

@@ -55,8 +55,10 @@ func TestQuotientMergesSymmetricStates(t *testing.T) {
 	}
 }
 
-func TestQuotientRefinesOnRates(t *testing.T) {
-	// Same labels/rewards, but different aggregate rates: must NOT merge.
+// asymmetricModel is symmetricModel's shape with the same labels on the
+// middle states but different rates out of them.
+func asymmetricModel(t *testing.T) *mrm.MRM {
+	t.Helper()
 	b := mrm.NewBuilder(4)
 	b.Rate(0, 1, 1).Rate(0, 2, 1)
 	b.Rate(1, 3, 2).Rate(2, 3, 7) // asymmetric
@@ -65,6 +67,12 @@ func TestQuotientRefinesOnRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func TestQuotientRefinesOnRates(t *testing.T) {
+	// Same labels/rewards, but different aggregate rates: must NOT merge.
+	m := asymmetricModel(t)
 	res, err := lump.Quotient(m)
 	if err != nil {
 		t.Fatal(err)
