@@ -345,7 +345,8 @@ func BenchmarkAblationBackwardVsForwardUntil(b *testing.B) {
 }
 
 // BenchmarkAblationSparseVsDenseMatVec measures the sparse CSR
-// matrix-vector product against a dense row-major product on the Erlang
+// matrix-vector product (the block kernel at g = 1, one worker) against a
+// dense row-major product on the Erlang
 // expansion of the case study (5·256+1 states), the largest matrix the
 // paper's evaluation touches.
 func BenchmarkAblationSparseVsDenseMatVec(b *testing.B) {
@@ -362,18 +363,23 @@ func BenchmarkAblationSparseVsDenseMatVec(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := p.Dim()
-	x := make([]float64, n)
-	y := make([]float64, n)
+	xb := sparse.NewBlock(n, 1, nil)
+	yb := sparse.NewBlock(n, 1, nil)
+	x, y := xb.Data(), yb.Data()
 	for i := range x {
 		x[i] = 1 / float64(n)
 	}
 	b.Run("sparse-csr", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			p.MulVec(y, x)
+			p.MulBlockPar(yb, xb, 1)
 		}
 	})
-	dense := p.Dense()
+	dense := make([][]float64, n)
+	for r := range dense {
+		dense[r] = make([]float64, n)
+	}
+	p.Each(func(r, c int, v float64) { dense[r][c] = v })
 	b.Run("dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -265,7 +265,7 @@ func workloads(m *mrm.MRM, goal *mrm.StateSet, workers int) []benchWorkload {
 	for _, steady := range []struct {
 		label string
 		mode  transient.SteadyMode
-	}{{"on", transient.SteadyOn}, {"off", transient.SteadyOff}} {
+	}{{"on", transient.SteadyAuto}, {"off", transient.SteadyOff}} {
 		steady := steady
 		add("TransientReach/t=24/steady="+steady.label, func() error {
 			_, err := transient.ReachProbAll(m, goal, tb, transient.Options{

@@ -79,8 +79,6 @@ type LumpMode int
 const (
 	// LumpAuto is the default: the pre-pass is enabled.
 	LumpAuto LumpMode = iota
-	// LumpOn enables the pre-pass explicitly (same behaviour as LumpAuto).
-	LumpOn
 	// LumpOff disables the pre-pass; formulas are checked on the full model.
 	LumpOff
 )
@@ -117,10 +115,6 @@ type Options struct {
 	// Workers bounds the parallelism of the numerical procedures:
 	// 0 = runtime.NumCPU(), 1 = the exact sequential legacy path.
 	Workers int
-	// SteadyDetect controls steady-state detection in all uniformisation
-	// sweeps (see transient.Options.SteadyDetect). The zero value is on;
-	// SteadyOff restores the full Fox–Glynn summation.
-	SteadyDetect transient.SteadyMode
 	// Lump controls the automatic formula-dependent lumping pre-pass of
 	// the exported entry points (see LumpMode). The zero value is on.
 	Lump LumpMode
@@ -865,12 +859,11 @@ func (c *Checker) probUntil(u logic.Until) ([]float64, error) {
 
 func (c *Checker) transientOpts() transient.Options {
 	opts := transient.Options{
-		Epsilon:      c.opts.Epsilon,
-		Workers:      c.opts.Workers,
-		SteadyDetect: c.opts.SteadyDetect,
-		Truncate:     c.opts.Truncate,
-		Pool:         c.pool,
-		Obs:          c.opts.Obs,
+		Epsilon:  c.opts.Epsilon,
+		Workers:  c.opts.Workers,
+		Truncate: c.opts.Truncate,
+		Pool:     c.pool,
+		Obs:      c.opts.Obs,
 	}
 	if c.memo != nil {
 		// Guarded: wrapping a nil *memo in the interface would yield a
@@ -1139,13 +1132,12 @@ func (c *Checker) untilTimeRewardBatch(phi, psi *mrm.StateSet, t float64, rs []f
 			cache = c.memo
 		}
 		resList, err := sericola.ReachProbBatch(red.Model, goal, t, rs, sericola.Options{
-			Epsilon:      c.opts.Epsilon,
-			Workers:      c.opts.Workers,
-			SteadyDetect: c.opts.SteadyDetect,
-			Truncate:     c.opts.Truncate,
-			Cache:        cache,
-			Pool:         c.pool,
-			Obs:          c.opts.Obs,
+			Epsilon:  c.opts.Epsilon,
+			Workers:  c.opts.Workers,
+			Truncate: c.opts.Truncate,
+			Cache:    cache,
+			Pool:     c.pool,
+			Obs:      c.opts.Obs,
 		})
 		if err != nil {
 			return nil, err

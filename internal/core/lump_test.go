@@ -56,7 +56,7 @@ func TestSatLumpCrosscheck(t *testing.T) {
 				off := New(m, offOpts)
 
 				onOpts := offOpts
-				onOpts.Lump = LumpOn
+				onOpts.Lump = LumpAuto
 				onOpts.Obs = obs.New()
 				on := New(m, onOpts)
 
@@ -129,7 +129,6 @@ func TestSatLumpIdentityQuotient(t *testing.T) {
 	offOpts.Lump = LumpOff
 	off := New(m, offOpts)
 	onOpts := DefaultOptions()
-	onOpts.Lump = LumpOn
 	onOpts.Obs = obs.New()
 	on := New(m, onOpts)
 

@@ -14,10 +14,10 @@ import (
 // gate for the block kernels: on the paper's ad-hoc model (Q3's Theorem 1
 // reduction), the batched recursion — all reward bounds advancing together
 // through one matrix pass per level — must reproduce the single-bound
-// vector path bit for bit at every bound and worker count. The block
-// kernels keep MulVec's per-row accumulation order, so any deviation, even
-// in the last ulp, means the batching touched the arithmetic and the test
-// fails.
+// path bit for bit at every bound and worker count. The block kernels keep
+// the vector product's per-row accumulation order in every column, so any
+// deviation, even in the last ulp, means the batching touched the
+// arithmetic and the test fails.
 func TestBatchedSericolaBitwiseEqualsVectorPathOnAdhoc(t *testing.T) {
 	red, err := adhoc.Q3Reduced()
 	if err != nil {
@@ -55,11 +55,11 @@ func TestBatchedSericolaBitwiseEqualsVectorPathOnAdhoc(t *testing.T) {
 }
 
 // TestBlockTransientBitwiseEqualsVectorPathOnAdhoc runs the block-threaded
-// transient sweeps on the ad-hoc model against the established
-// one-vector-at-a-time path: backward with several weighting vectors
-// (among them the goal indicator, i.e. ReachProbAll's input) and forward
-// from several initial distributions, with steady-state detection both off
-// and in its default mode.
+// transient sweeps (g > 1) on the ad-hoc model against one g = 1 call per
+// vector: backward with several weighting vectors (among them the goal
+// indicator, i.e. ReachProbAll's input) and forward from several initial
+// distributions, with steady-state detection both off and in its default
+// mode.
 func TestBlockTransientBitwiseEqualsVectorPathOnAdhoc(t *testing.T) {
 	red, err := adhoc.Q3Reduced()
 	if err != nil {

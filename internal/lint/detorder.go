@@ -27,8 +27,8 @@ import (
 // on the function. The reason is mandatory. The optional fanout=<helper>
 // token claims the function draws its partition from <helper>; the
 // analyzer verifies the function really calls it with a worker-derived
-// argument, which pins invariants like "MulBlockTPar uses the same
-// rowCuts fan-out as MulVecTPar" in the annotation itself.
+// argument, which pins invariants like "MulBlockTPar fans out over the
+// same rowCuts partition at every g" in the annotation itself.
 var Detorder = &Analyzer{
 	Name: "detorder",
 	Doc:  "flags float reductions whose order depends on the parallel worker count",

@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -173,6 +174,18 @@ func TestFoxGlynnRejectsBadInput(t *testing.T) {
 	}
 	if _, err := FoxGlynn(1, 1.5); err == nil {
 		t.Error("accuracy > 1 accepted")
+	}
+}
+
+// TestFoxGlynnRefusesHugeRates pins the step cap: a rate whose right
+// truncation point lies beyond maxPoissonSteps — up to +Inf, where int(q)
+// is undefined — is an ErrAccuracy error, not a makeslice panic.
+func TestFoxGlynnRefusesHugeRates(t *testing.T) {
+	for _, q := range []float64{math.Inf(1), 1e300, 1e18, 2e8} {
+		w, err := FoxGlynn(q, 1e-8)
+		if !errors.Is(err, ErrAccuracy) {
+			t.Errorf("FoxGlynn(%v) = %v, %v; want an ErrAccuracy error", q, w, err)
+		}
 	}
 }
 

@@ -171,34 +171,3 @@ func GaussianEliminate(m [][]float64, rhs []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// PowerIteration computes the stationary distribution of an irreducible
-// stochastic matrix P (row-stochastic) by repeated multiplication π ← π·P
-// with aperiodicity enforced through damping: π ← π·((1-θ)I + θP).
-func PowerIteration(p *sparse.CSR, opts SolveOptions) ([]float64, error) {
-	n := p.Dim()
-	if opts.Tolerance <= 0 {
-		opts.Tolerance = 1e-13
-	}
-	if opts.MaxIterations <= 0 {
-		opts.MaxIterations = 1_000_000
-	}
-	const theta = 0.75
-	pi := make([]float64, n)
-	next := make([]float64, n)
-	sparse.Fill(pi, 1/float64(n))
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		p.MulVecT(next, pi)
-		for i := range next {
-			next[i] = (1-theta)*pi[i] + theta*next[i]
-		}
-		if sparse.MaxDiff(pi, next) < opts.Tolerance {
-			// Normalise defensively against drift.
-			s := sparse.Sum(next)
-			sparse.Scale(1/s, next)
-			return next, nil
-		}
-		pi, next = next, pi
-	}
-	return nil, fmt.Errorf("%w: power iteration after %d iterations", ErrNoConvergence, opts.MaxIterations)
-}

@@ -214,33 +214,3 @@ func TestGaussianEliminateNeedsPivoting(t *testing.T) {
 		t.Errorf("x = %v, want [4 3]", x)
 	}
 }
-
-func TestPowerIteration(t *testing.T) {
-	// Two-state chain with P = [[0.5,0.5],[0.25,0.75]]: stationary (1/3, 2/3).
-	p := mustCSR(t, 2, []sparse.Triplet{
-		{Row: 0, Col: 0, Val: 0.5}, {Row: 0, Col: 1, Val: 0.5},
-		{Row: 1, Col: 0, Val: 0.25}, {Row: 1, Col: 1, Val: 0.75},
-	})
-	pi, err := PowerIteration(p, SolveOptions{})
-	if err != nil {
-		t.Fatalf("power iteration: %v", err)
-	}
-	if math.Abs(pi[0]-1.0/3) > 1e-9 || math.Abs(pi[1]-2.0/3) > 1e-9 {
-		t.Errorf("pi = %v, want [1/3 2/3]", pi)
-	}
-}
-
-func TestPowerIterationPeriodicChain(t *testing.T) {
-	// A strictly periodic chain only converges thanks to damping.
-	p := mustCSR(t, 2, []sparse.Triplet{
-		{Row: 0, Col: 1, Val: 1},
-		{Row: 1, Col: 0, Val: 1},
-	})
-	pi, err := PowerIteration(p, SolveOptions{})
-	if err != nil {
-		t.Fatalf("power iteration: %v", err)
-	}
-	if math.Abs(pi[0]-0.5) > 1e-9 {
-		t.Errorf("pi = %v, want [0.5 0.5]", pi)
-	}
-}

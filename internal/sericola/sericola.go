@@ -69,11 +69,6 @@ type Options struct {
 	// knob exists for that crosscheck and for the perfbench contrast, not
 	// for production use.
 	FullWidth bool
-	// SteadyDetect is forwarded to the transient fallback taken when the
-	// reward bound is vacuous (see transient.Options.SteadyDetect); the
-	// C(h,n,k) recursion itself always runs to its a-priori truncation
-	// point N_ε.
-	SteadyDetect transient.SteadyMode
 	// Truncate is forwarded to the transient fallback (see
 	// transient.Options.Truncate). It only takes effect on forward sweeps
 	// there; the vacuous-bound leg here is a backward sweep and the
@@ -715,13 +710,12 @@ func splitBudget(eps float64, nVacuous, nBanded int) (sweepEps, bandEps float64)
 // detection and pooled scratch along for free.
 func transientGoal(m *mrm.MRM, goal *mrm.StateSet, t, lambda, eps float64, opts Options) ([]float64, error) {
 	topts := transient.Options{
-		Epsilon:      eps,
-		Lambda:       lambda,
-		Workers:      opts.Workers,
-		SteadyDetect: opts.SteadyDetect,
-		Truncate:     opts.Truncate,
-		Pool:         opts.Pool,
-		Obs:          opts.Obs,
+		Epsilon:  eps,
+		Lambda:   lambda,
+		Workers:  opts.Workers,
+		Truncate: opts.Truncate,
+		Pool:     opts.Pool,
+		Obs:      opts.Obs,
 		// Cache's method set is identical to transient.Cache's, so the
 		// interface value converts directly; nil stays nil.
 		Cache: opts.Cache,

@@ -440,3 +440,21 @@ func TestRecorderInOptionsRejected(t *testing.T) {
 		t.Fatal("New accepted a shared recorder in Options.Checker.Obs")
 	}
 }
+
+// TestHugeTimeBoundIsAnErrorNotACrash sends a P3 query whose vacuous
+// reward bound routes Sericola onto its transient leg with a time bound
+// whose Poisson window no check can finish. The request must come back as
+// a JSON error, and the server — whose admission timer goroutine runs the
+// batch — must keep serving.
+func TestHugeTimeBoundIsAnErrorNotACrash(t *testing.T) {
+	_, ts, _, fp := newTestServer(t, 0)
+	huge := "P=? [ (call_idle | doze) U{t<=1e300, r<=1e308} call_initiated ]"
+	status, _, apiErr := postCheck(t, ts.URL, CheckRequest{Model: fp, Formula: huge})
+	if status < 400 || status > 599 || apiErr.Error == "" {
+		t.Fatalf("huge time bound: status %d, error %q; want a 4xx/5xx JSON error", status, apiErr.Error)
+	}
+	status, resp, apiErr := postCheck(t, ts.URL, CheckRequest{Model: fp, Formula: "P=? [ (call_idle | doze) U{t<=24, r<=550} call_initiated ]"})
+	if status != http.StatusOK || resp.Value == nil {
+		t.Fatalf("follow-up query: status %d, error %q", status, apiErr.Error)
+	}
+}

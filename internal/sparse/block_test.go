@@ -1,6 +1,9 @@
 package sparse
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // blockWorkers is the worker grid the ISSUE pins for the bitwise suite.
 var blockWorkers = []int{0, 1, 2, 4, 8}
@@ -29,15 +32,15 @@ func TestMulBlockMatchesMulVecBitwise(t *testing.T) {
 			m := randomCSR(t, n, 8, uint64(n*31+g))
 			src := randomBlock(n, g, uint64(n+g))
 			dst := NewBlock(n, g, nil)
-			m.MulBlock(dst, src)
+			m.MulBlockPar(dst, src, 1)
 			x := make([]float64, n)
 			want := make([]float64, n)
 			for j := 0; j < g; j++ {
 				src.Col(x, j)
-				m.MulVec(want, x)
+				mulVec(m, want, x)
 				for i := 0; i < n; i++ {
 					if dst.At(i, j) != want[i] {
-						t.Fatalf("n=%d g=%d: dst[%d,%d] = %g, MulVec %g (must be bitwise equal)",
+						t.Fatalf("n=%d g=%d: dst[%d,%d] = %g, mulVec %g (must be bitwise equal)",
 							n, g, i, j, dst.At(i, j), want[i])
 					}
 				}
@@ -58,10 +61,10 @@ func TestMulBlockParMatchesMulVecBitwise(t *testing.T) {
 				m.MulBlockPar(dst, src, workers)
 				for j := 0; j < g; j++ {
 					src.Col(x, j)
-					m.MulVec(want, x)
+					mulVec(m, want, x)
 					for i := 0; i < n; i++ {
 						if dst.At(i, j) != want[i] {
-							t.Fatalf("n=%d g=%d workers=%d: dst[%d,%d] = %g, MulVec %g (must be bitwise equal)",
+							t.Fatalf("n=%d g=%d workers=%d: dst[%d,%d] = %g, mulVec %g (must be bitwise equal)",
 								n, g, workers, i, j, dst.At(i, j), want[i])
 						}
 					}
@@ -77,15 +80,15 @@ func TestMulBlockTMatchesMulVecTBitwise(t *testing.T) {
 			m := randomCSR(t, n, 8, uint64(n*13+g))
 			src := randomBlock(n, g, uint64(n*3+g))
 			dst := NewBlock(n, g, nil)
-			m.MulBlockT(dst, src)
+			m.MulBlockTPar(dst, src, 1)
 			x := make([]float64, n)
 			want := make([]float64, n)
 			for j := 0; j < g; j++ {
 				src.Col(x, j)
-				m.MulVecT(want, x)
+				mulVecT(m, want, x)
 				for i := 0; i < n; i++ {
 					if dst.At(i, j) != want[i] {
-						t.Fatalf("n=%d g=%d: dst[%d,%d] = %g, MulVecT %g (must be bitwise equal)",
+						t.Fatalf("n=%d g=%d: dst[%d,%d] = %g, mulVecT %g (must be bitwise equal)",
 							n, g, i, j, dst.At(i, j), want[i])
 					}
 				}
@@ -94,9 +97,9 @@ func TestMulBlockTMatchesMulVecTBitwise(t *testing.T) {
 	}
 }
 
-// MulBlockTPar reassociates the reduction exactly like MulVecTPar, so the
-// contract is bitwise equality per column against MulVecTPar at the same
-// worker count — not against the sequential kernel.
+// MulBlockTPar reassociates the reduction exactly like the mulVecTPar
+// oracle, so the contract is bitwise equality per column against it at the
+// same worker count — not against the sequential kernel.
 func TestMulBlockTParMatchesMulVecTParPerColumn(t *testing.T) {
 	for _, n := range []int{1, 50, 400} {
 		for _, g := range []int{1, 3, 6} {
@@ -109,10 +112,10 @@ func TestMulBlockTParMatchesMulVecTParPerColumn(t *testing.T) {
 				m.MulBlockTPar(dst, src, workers)
 				for j := 0; j < g; j++ {
 					src.Col(x, j)
-					m.MulVecTPar(want, x, workers)
+					mulVecTPar(m, want, x, workers)
 					for i := 0; i < n; i++ {
 						if dst.At(i, j) != want[i] {
-							t.Fatalf("n=%d g=%d workers=%d: dst[%d,%d] = %g, MulVecTPar %g (must be bitwise equal)",
+							t.Fatalf("n=%d g=%d workers=%d: dst[%d,%d] = %g, mulVecTPar %g (must be bitwise equal)",
 								n, g, workers, i, j, dst.At(i, j), want[i])
 						}
 					}
@@ -122,47 +125,52 @@ func TestMulBlockTParMatchesMulVecTParPerColumn(t *testing.T) {
 	}
 }
 
+// TestBlockColumnOps runs the column helpers at g = 3 and at g = 1, where
+// ColAXPY and ColMaxDiff take their whole-slab specialisations.
 func TestBlockColumnOps(t *testing.T) {
-	const n, g = 7, 3
-	b := NewBlock(n, g, nil)
-	col := randomVec(n, 21)
-	b.SetCol(1, col)
-	got := make([]float64, n)
-	b.Col(got, 1)
-	for i := range col {
-		if got[i] != col[i] {
-			t.Fatalf("Col round-trip mismatch at %d: %g != %g", i, got[i], col[i])
+	const n = 7
+	for _, g := range []int{1, 3} {
+		jc := g / 2
+		b := NewBlock(n, g, nil)
+		col := randomVec(n, 21)
+		b.SetCol(jc, col)
+		got := make([]float64, n)
+		b.Col(got, jc)
+		for i := range col {
+			if got[i] != col[i] {
+				t.Fatalf("g=%d: Col round-trip mismatch at %d: %g != %g", g, i, got[i], col[i])
+			}
 		}
-	}
-	// ColAXPY must equal AXPY on the extracted column, bitwise.
-	dst1 := randomVec(n, 5)
-	dst2 := make([]float64, n)
-	copy(dst2, dst1)
-	b.ColAXPY(0.75, 1, dst1)
-	AXPY(0.75, col, dst2)
-	for i := range dst1 {
-		if dst1[i] != dst2[i] {
-			t.Fatalf("ColAXPY != AXPY at %d: %g != %g", i, dst1[i], dst2[i])
+		// ColAXPY must equal AXPY on the extracted column, bitwise.
+		dst1 := randomVec(n, 5)
+		dst2 := make([]float64, n)
+		copy(dst2, dst1)
+		b.ColAXPY(0.75, jc, dst1)
+		AXPY(0.75, col, dst2)
+		for i := range dst1 {
+			if dst1[i] != dst2[i] {
+				t.Fatalf("g=%d: ColAXPY != AXPY at %d: %g != %g", g, i, dst1[i], dst2[i])
+			}
 		}
-	}
-	// AXPYIntoCol mirrors it into the block.
-	src := randomVec(n, 9)
-	want := make([]float64, n)
-	copy(want, col)
-	AXPY(-0.5, src, want)
-	b.AXPYIntoCol(-0.5, 1, src)
-	b.Col(got, 1)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("AXPYIntoCol mismatch at %d: %g != %g", i, got[i], want[i])
+		// AXPYIntoCol mirrors it into the block.
+		src := randomVec(n, 9)
+		want := make([]float64, n)
+		copy(want, col)
+		AXPY(-0.5, src, want)
+		b.AXPYIntoCol(-0.5, jc, src)
+		b.Col(got, jc)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("g=%d: AXPYIntoCol mismatch at %d: %g != %g", g, i, got[i], want[i])
+			}
 		}
-	}
-	// ColMaxDiff must equal MaxDiff on the extracted columns.
-	o := randomBlock(n, g, 77)
-	ocol := make([]float64, n)
-	o.Col(ocol, 1)
-	if d, want := b.ColMaxDiff(o, 1), MaxDiff(got, ocol); d != want {
-		t.Fatalf("ColMaxDiff = %g, MaxDiff = %g", d, want)
+		// ColMaxDiff must equal MaxDiff on the extracted columns.
+		o := randomBlock(n, g, 77)
+		ocol := make([]float64, n)
+		o.Col(ocol, jc)
+		if d, want := b.ColMaxDiff(o, jc), MaxDiff(got, ocol); d != want {
+			t.Fatalf("g=%d: ColMaxDiff = %g, MaxDiff = %g", g, d, want)
+		}
 	}
 }
 
@@ -226,56 +234,36 @@ func TestBlockPoolRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkMulBlockG4(b *testing.B) {
+// benchBlock runs kernel on a 2000-state random matrix at g = 1 (the
+// vector product) and g = 4 (four vectors in one matrix pass); the g = 4
+// time against four g = 1 times is the block layout's traffic win.
+func benchBlock(b *testing.B, kernel func(m *CSR, dst, src *Block)) {
 	m := benchCSR(b, 2000, 20)
-	src := randomBlock(2000, 4, 1)
-	dst := NewBlock(2000, 4, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulBlock(dst, src)
+	for _, g := range []int{1, 4} {
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
+			src := randomBlock(2000, g, 1)
+			dst := NewBlock(2000, g, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernel(m, dst, src)
+			}
+		})
 	}
 }
 
-// BenchmarkMulVecG4 is the vector-at-a-time baseline for BenchmarkMulBlockG4:
-// the same four columns advanced by four independent matrix passes.
-func BenchmarkMulVecG4(b *testing.B) {
-	m := benchCSR(b, 2000, 20)
-	src := randomBlock(2000, 4, 1)
-	xs := make([][]float64, 4)
-	dsts := make([][]float64, 4)
-	for j := range xs {
-		xs[j] = make([]float64, 2000)
-		src.Col(xs[j], j)
-		dsts[j] = make([]float64, 2000)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range xs {
-			m.MulVec(dsts[j], xs[j])
-		}
-	}
+func BenchmarkMulBlock(b *testing.B) {
+	benchBlock(b, func(m *CSR, dst, src *Block) { m.MulBlockPar(dst, src, 1) })
 }
 
-func BenchmarkMulBlockParG4(b *testing.B) {
-	m := benchCSR(b, 2000, 20)
-	src := randomBlock(2000, 4, 1)
-	dst := NewBlock(2000, 4, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulBlockPar(dst, src, 0)
-	}
+func BenchmarkMulBlockPar(b *testing.B) {
+	benchBlock(b, func(m *CSR, dst, src *Block) { m.MulBlockPar(dst, src, 0) })
 }
 
-func BenchmarkMulBlockTParG4(b *testing.B) {
-	m := benchCSR(b, 2000, 20)
-	src := randomBlock(2000, 4, 1)
-	dst := NewBlock(2000, 4, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulBlockTPar(dst, src, 0)
-	}
+func BenchmarkMulBlockT(b *testing.B) {
+	benchBlock(b, func(m *CSR, dst, src *Block) { m.MulBlockTPar(dst, src, 1) })
+}
+
+func BenchmarkMulBlockTPar(b *testing.B) {
+	benchBlock(b, func(m *CSR, dst, src *Block) { m.MulBlockTPar(dst, src, 0) })
 }

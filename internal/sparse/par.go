@@ -4,47 +4,13 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-
-	"github.com/performability/csrl/internal/parallel"
 )
 
-// parGrain is the minimum number of stored entries before the parallel
-// kernels fan out; below it the scheduling overhead dominates and the
-// sequential kernels are used directly.
+// parGrain is the minimum amount of work (stored entries, times the
+// columns advanced for MulBlockPar) before the parallel kernels fan out;
+// below it the scheduling overhead dominates and one worker runs the whole
+// row range.
 const parGrain = 1024
-
-// MulVecPar computes dst = M·x like MulVec, partitioned across workers.
-// Each worker owns a contiguous row range, and every row's dot product is
-// evaluated in the same order as the sequential kernel, so the result is
-// bitwise identical to MulVec for every workers value. Row ranges are
-// balanced by stored-entry count, not row count, so banded matrices with
-// skewed rows (e.g. the pseudo-Erlang expansion) split evenly.
-func (m *CSR) MulVecPar(dst, x []float64, workers int) {
-	if len(dst) != m.n || len(x) != m.n {
-		//lint:ignore bannedcall dimension mismatch is a programmer error on the hottest kernel; an error return would tax every caller
-		panic("sparse: MulVecPar dimension mismatch")
-	}
-	w := parallel.Resolve(workers)
-	if w == 1 || m.NNZ() < parGrain || m.n < 2 {
-		m.MulVec(dst, x)
-		return
-	}
-	cuts := m.rowCuts(w)
-	tasks := make([]func(), 0, len(cuts)-1)
-	for c := 0; c+1 < len(cuts); c++ {
-		lo, hi := cuts[c], cuts[c+1]
-		tasks = append(tasks, func() {
-			for i := lo; i < hi; i++ {
-				var s float64
-				for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-					s += m.val[k] * x[m.col[k]]
-				}
-				dst[i] = s
-			}
-		})
-	}
-	parallel.Do(tasks...)
-}
 
 // scatterCapPerClass bounds how many free buffers one capacity class
 // retains; it only needs to cover the worker fan-out of a single kernel
@@ -123,64 +89,6 @@ func (c *scatterCache) reset() {
 	c.mu.Lock()
 	c.free = make(map[int][][]float64)
 	c.mu.Unlock()
-}
-
-// MulVecTPar computes dst = Mᵀ·x like MulVecT, partitioned across workers.
-// Each worker scatters its row range into a private buffer; the buffers
-// are then reduced into dst in a parallel sweep over column ranges. The
-// reduction adds per-worker partial sums in worker order, which may
-// reassociate floating-point addition relative to MulVecT; results agree
-// with the sequential kernel up to roundoff (exactly when each column is
-// touched by at most one worker).
-//
-//numerics:order-invariant fanout=rowCuts the gather folds the rowCuts partition in worker order; results are deterministic at a fixed workers value and agree with MulVecT up to roundoff
-func (m *CSR) MulVecTPar(dst, x []float64, workers int) {
-	if len(dst) != m.n || len(x) != m.n {
-		//lint:ignore bannedcall dimension mismatch is a programmer error on the hottest kernel; an error return would tax every caller
-		panic("sparse: MulVecTPar dimension mismatch")
-	}
-	w := parallel.Resolve(workers)
-	if w == 1 || m.NNZ() < parGrain || m.n < 2 {
-		m.MulVecT(dst, x)
-		return
-	}
-	cuts := m.rowCuts(w)
-	nParts := len(cuts) - 1
-	bufs := make([][]float64, nParts)
-	scatter := make([]func(), 0, nParts)
-	for c := 0; c < nParts; c++ {
-		c := c
-		lo, hi := cuts[c], cuts[c+1]
-		scatter = append(scatter, func() {
-			buf := scatters.get(m.n)
-			for i := range buf {
-				buf[i] = 0
-			}
-			for i := lo; i < hi; i++ {
-				xi := x[i]
-				if xi == 0 {
-					continue
-				}
-				for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-					buf[m.col[k]] += m.val[k] * xi
-				}
-			}
-			bufs[c] = buf
-		})
-	}
-	parallel.Do(scatter...)
-	parallel.For(w, m.n, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			var s float64
-			for _, buf := range bufs {
-				s += buf[j]
-			}
-			dst[j] = s
-		}
-	})
-	for _, buf := range bufs {
-		scatters.put(buf)
-	}
 }
 
 // rowCuts returns w+1 monotone row boundaries [0=c0 <= c1 <= … <= cw=n]

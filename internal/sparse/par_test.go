@@ -47,15 +47,18 @@ func randomVec(n int, seed uint64) []float64 {
 	return v
 }
 
+// TestMulVecParMatchesSequentialBitwise pins the vector product — the
+// block kernel at g = 1 — against the sequential oracle at every workers
+// value: the row partition must not move a bit.
 func TestMulVecParMatchesSequentialBitwise(t *testing.T) {
 	for _, n := range []int{1, 3, 50, 400} {
 		m := randomCSR(t, n, 8, uint64(n)+1)
 		x := randomVec(n, 99)
 		want := make([]float64, n)
-		m.MulVec(want, x)
+		mulVec(m, want, x)
 		for _, workers := range []int{0, 1, 2, 3, 7, 16, 100} {
 			got := make([]float64, n)
-			m.MulVecPar(got, x, workers)
+			m.MulBlockPar(vecBlock(got), vecBlock(x), workers)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d workers=%d: dst[%d] = %g, sequential %g (must be bitwise equal)",
@@ -66,15 +69,18 @@ func TestMulVecParMatchesSequentialBitwise(t *testing.T) {
 	}
 }
 
+// TestMulVecTParMatchesSequential checks the transpose vector product at
+// g = 1 against the sequential oracle: the worker-order reduce may
+// reassociate, so agreement is to roundoff.
 func TestMulVecTParMatchesSequential(t *testing.T) {
 	for _, n := range []int{1, 3, 50, 400} {
 		m := randomCSR(t, n, 8, uint64(n)+7)
 		x := randomVec(n, 42)
 		want := make([]float64, n)
-		m.MulVecT(want, x)
+		mulVecT(m, want, x)
 		for _, workers := range []int{0, 1, 2, 3, 7, 16, 100} {
 			got := make([]float64, n)
-			m.MulVecTPar(got, x, workers)
+			m.MulBlockTPar(vecBlock(got), vecBlock(x), workers)
 			for i := range got {
 				if d := math.Abs(got[i] - want[i]); d > 1e-13*(1+math.Abs(want[i])) {
 					t.Fatalf("n=%d workers=%d: dst[%d] = %g, sequential %g (Δ=%g)",
@@ -101,65 +107,25 @@ func TestRowCutsPartition(t *testing.T) {
 }
 
 func TestParKernelsSmallMatrixFallback(t *testing.T) {
-	// Below the grain the parallel kernels must still be correct (they
-	// delegate to the sequential path).
+	// Below the grain the parallel kernels must still be correct (one
+	// worker runs the whole range).
 	m := randomCSR(t, 5, 2, 11)
 	x := randomVec(5, 3)
 	want := make([]float64, 5)
 	got := make([]float64, 5)
-	m.MulVec(want, x)
-	m.MulVecPar(got, x, 8)
+	mulVec(m, want, x)
+	m.MulBlockPar(vecBlock(got), vecBlock(x), 8)
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("small MulVecPar mismatch at %d", i)
+			t.Fatalf("small MulBlockPar mismatch at %d", i)
 		}
 	}
-	m.MulVecT(want, x)
-	m.MulVecTPar(got, x, 8)
+	mulVecT(m, want, x)
+	m.MulBlockTPar(vecBlock(got), vecBlock(x), 8)
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("small MulVecTPar mismatch at %d", i)
+			t.Fatalf("small MulBlockTPar mismatch at %d", i)
 		}
-	}
-}
-
-func BenchmarkMulVec(b *testing.B) {
-	m := benchCSR(b, 2000, 20)
-	x := randomVec(2000, 1)
-	dst := make([]float64, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVec(dst, x)
-	}
-}
-
-func BenchmarkMulVecPar(b *testing.B) {
-	m := benchCSR(b, 2000, 20)
-	x := randomVec(2000, 1)
-	dst := make([]float64, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVecPar(dst, x, 0)
-	}
-}
-
-func BenchmarkMulVecT(b *testing.B) {
-	m := benchCSR(b, 2000, 20)
-	x := randomVec(2000, 1)
-	dst := make([]float64, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVecT(dst, x)
-	}
-}
-
-func BenchmarkMulVecTPar(b *testing.B) {
-	m := benchCSR(b, 2000, 20)
-	x := randomVec(2000, 1)
-	dst := make([]float64, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVecTPar(dst, x, 0)
 	}
 }
 

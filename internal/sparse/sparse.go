@@ -1,5 +1,6 @@
 // Package sparse provides compressed sparse row (CSR) matrices and the
-// vector kernels used throughout the model checker. Matrices are square,
+// block kernels used throughout the model checker (a vector is a block of
+// one column). Matrices are square,
 // real-valued and immutable once built; construction goes through either a
 // triplet list or the incremental Builder.
 package sparse
@@ -144,64 +145,6 @@ func (m *CSR) Each(fn func(i, j int, v float64)) {
 	}
 }
 
-// MulVec computes dst = M·x. dst and x must have length Dim and must not
-// alias each other.
-func (m *CSR) MulVec(dst, x []float64) {
-	if len(dst) != m.n || len(x) != m.n {
-		//lint:ignore bannedcall dimension mismatch is a programmer error on the hottest kernel; an error return would tax every caller
-		panic("sparse: MulVec dimension mismatch")
-	}
-	for i := 0; i < m.n; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k] * x[m.col[k]]
-		}
-		dst[i] = s
-	}
-}
-
-// MulVecT computes dst = Mᵀ·x (equivalently dst = x·M for a row vector x).
-// dst and x must have length Dim and must not alias each other.
-func (m *CSR) MulVecT(dst, x []float64) {
-	if len(dst) != m.n || len(x) != m.n {
-		//lint:ignore bannedcall dimension mismatch is a programmer error on the hottest kernel; an error return would tax every caller
-		panic("sparse: MulVecT dimension mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i := 0; i < m.n; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			dst[m.col[k]] += m.val[k] * xi
-		}
-	}
-}
-
-// MulMat computes C = M·B where B and C are dense n×n matrices stored
-// row-major as [][]float64. C must be preallocated and must not alias B.
-func (m *CSR) MulMat(c, b [][]float64) {
-	if len(c) != m.n || len(b) != m.n {
-		//lint:ignore bannedcall dimension mismatch is a programmer error on the hottest kernel; an error return would tax every caller
-		panic("sparse: MulMat dimension mismatch")
-	}
-	for i := 0; i < m.n; i++ {
-		ci := c[i]
-		for j := range ci {
-			ci[j] = 0
-		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			v, bj := m.val[k], b[m.col[k]]
-			for j, bv := range bj {
-				ci[j] += v * bv
-			}
-		}
-	}
-}
-
 // Transpose returns a new matrix Mᵀ.
 func (m *CSR) Transpose() *CSR {
 	t := &CSR{
@@ -268,19 +211,6 @@ func (m *CSR) AddDiagonal(d []float64) (*CSR, error) {
 		}
 	}
 	return NewFromTriplets(m.n, ts)
-}
-
-// Dense returns the matrix as a dense row-major [][]float64.
-func (m *CSR) Dense() [][]float64 {
-	out := make([][]float64, m.n)
-	flat := make([]float64, m.n*m.n)
-	for i := 0; i < m.n; i++ {
-		out[i] = flat[i*m.n : (i+1)*m.n]
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			out[i][m.col[k]] = m.val[k]
-		}
-	}
-	return out
 }
 
 func (m *CSR) clone() *CSR {

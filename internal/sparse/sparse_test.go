@@ -73,16 +73,16 @@ func TestMulVec(t *testing.T) {
 	})
 	x := []float64{1, 2, 3}
 	dst := make([]float64, 3)
-	m.MulVec(dst, x)
+	m.MulBlockPar(vecBlock(dst), vecBlock(x), 1)
 	want := []float64{7, 6, 4}
 	if !reflect.DeepEqual(dst, want) {
-		t.Errorf("MulVec = %v, want %v", dst, want)
+		t.Errorf("M·x = %v, want %v", dst, want)
 	}
-	m.MulVecT(dst, x)
+	m.MulBlockTPar(vecBlock(dst), vecBlock(x), 1)
 	// Mᵀx = x·M: dst[j] = Σ_i x[i] M[i][j]
 	want = []float64{1*1 + 3*4, 2 * 3, 1 * 2}
 	if !reflect.DeepEqual(dst, want) {
-		t.Errorf("MulVecT = %v, want %v", dst, want)
+		t.Errorf("x·M = %v, want %v", dst, want)
 	}
 }
 
@@ -131,26 +131,12 @@ func TestMulVecTMatchesTransposeMulVec(t *testing.T) {
 		}
 		a := make([]float64, n)
 		b := make([]float64, n)
-		m.MulVecT(a, x)
-		m.Transpose().MulVec(b, x)
+		m.MulBlockTPar(vecBlock(a), vecBlock(x), 1)
+		m.Transpose().MulBlockPar(vecBlock(b), vecBlock(x), 1)
 		return MaxDiff(a, b) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMulMat(t *testing.T) {
-	m := mustCSR(t, 2, []Triplet{
-		{Row: 0, Col: 1, Val: 2},
-		{Row: 1, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 1},
-	})
-	b := [][]float64{{1, 2}, {3, 4}}
-	c := [][]float64{make([]float64, 2), make([]float64, 2)}
-	m.MulMat(c, b)
-	want := [][]float64{{6, 8}, {4, 6}}
-	if !reflect.DeepEqual(c, want) {
-		t.Errorf("MulMat = %v, want %v", c, want)
 	}
 }
 
@@ -183,14 +169,6 @@ func TestAddDiagonal(t *testing.T) {
 	}
 	if d.At(0, 0) != 0 || d.At(1, 1) != 5 || d.At(0, 1) != 2 {
 		t.Errorf("AddDiagonal result wrong: %v", d)
-	}
-}
-
-func TestDense(t *testing.T) {
-	m := mustCSR(t, 2, []Triplet{{Row: 0, Col: 1, Val: 3}})
-	want := [][]float64{{0, 3}, {0, 0}}
-	if got := m.Dense(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Dense = %v, want %v", got, want)
 	}
 }
 

@@ -145,13 +145,13 @@ func TestMultiSteadyDetectPerColumn(t *testing.T) {
 		ones[i] = 1
 		quarter[i] = 0.25
 	}
-	on := Options{Epsilon: eps, Workers: 1, SteadyDetect: SteadyOn}
+	on := Options{Epsilon: eps, Workers: 1}
 	off := Options{Epsilon: eps, Workers: 1, SteadyDetect: SteadyOff}
 
 	// (a) Both columns are exact fixed points: all freeze, passes collapse.
 	fixed := [][]float64{ones, quarter}
-	accOn, prodOn := sweepMulti(p, fixed, w, q, on, false)
-	_, prodOff := sweepMulti(p, fixed, w, q, off, false)
+	accOn, prodOn := sweep(p, fixed, w, q, on, false)
+	_, prodOff := sweep(p, fixed, w, q, off, false)
 	if prodOff != w.Right {
 		t.Fatalf("detection off applied %d block passes, want the full window %d", prodOff, w.Right)
 	}
@@ -159,23 +159,23 @@ func TestMultiSteadyDetectPerColumn(t *testing.T) {
 		t.Fatalf("all-frozen block sweep still applied %d of %d passes", prodOn, prodOff)
 	}
 	for j, v := range fixed {
-		want, _ := sweep(p, v, w, q, on, false)
-		bitwiseCols(t, "all-frozen column", accOn[j], want)
+		want, _ := sweep(p, [][]float64{v}, w, q, on, false)
+		bitwiseCols(t, "all-frozen column", accOn[j], want[0])
 	}
 
 	// (b) One frozen column, one live: passes track the live column, and
 	// the frozen column's compaction leaves the live result bitwise intact.
 	mixed := [][]float64{ones, weightVecs(n, 1)[0]}
-	accMix, prodMix := sweepMulti(p, mixed, w, q, on, false)
+	accMix, prodMix := sweep(p, mixed, w, q, on, false)
 	for j, v := range mixed {
-		want, prodSingle := sweep(p, v, w, q, on, false)
-		bitwiseCols(t, "mixed column", accMix[j], want)
+		want, prodSingle := sweep(p, [][]float64{v}, w, q, on, false)
+		bitwiseCols(t, "mixed column", accMix[j], want[0])
 		if j == 1 && prodMix != prodSingle {
 			t.Errorf("block passes %d, live column alone needs %d — passes must track the slowest column", prodMix, prodSingle)
 		}
 	}
 	// Detection stays within ε of the full summation, per column.
-	accOffMix, _ := sweepMulti(p, mixed, w, q, off, false)
+	accOffMix, _ := sweep(p, mixed, w, q, off, false)
 	for j := range mixed {
 		if d := sparse.MaxDiff(accMix[j], accOffMix[j]); d > eps {
 			t.Errorf("column %d: steady-detect differs from full summation by %g > ε", j, d)
@@ -202,7 +202,7 @@ func TestMultiDegenerateInputs(t *testing.T) {
 	if _, err := BackwardWeightedMulti(m, vs, -1, DefaultOptions()); err == nil {
 		t.Fatal("negative t must error")
 	}
-	// g==1 delegates to the vector path and must still match it bitwise.
+	// A batch of one is the same path as the single-vector call.
 	one := [][]float64{vs[0]}
 	got, err := BackwardWeightedMulti(m, one, 1.5, DefaultOptions())
 	if err != nil {
@@ -212,5 +212,5 @@ func TestMultiDegenerateInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitwiseCols(t, "g=1 delegate", got[0], want)
+	bitwiseCols(t, "g=1 batch", got[0], want)
 }

@@ -44,7 +44,7 @@ func TestBackwardWeightedParallelEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for s := range got {
-			// The backward sweep uses MulVecPar, which is bitwise-stable
+			// The backward sweep uses MulBlockPar, which is bitwise-stable
 			// under partitioning.
 			if got[s] != want[s] {
 				t.Fatalf("workers=%d: state %d: %g != sequential %g", workers, s, got[s], want[s])
@@ -66,7 +66,7 @@ func TestDistributionParallelEquivalence(t *testing.T) {
 		}
 		var sum float64
 		for s := range got {
-			// The forward sweep uses MulVecTPar whose reduce step may
+			// The forward sweep uses MulBlockTPar whose reduce step may
 			// reassociate additions; allow roundoff-level slack.
 			if d := math.Abs(got[s] - want[s]); d > 1e-13 {
 				t.Fatalf("workers=%d: state %d: %g vs sequential %g (Δ=%g)", workers, s, got[s], want[s], d)

@@ -48,8 +48,6 @@ type SteadyMode int
 const (
 	// SteadyAuto is the default: detection enabled.
 	SteadyAuto SteadyMode = iota
-	// SteadyOn enables detection explicitly (same behaviour as SteadyAuto).
-	SteadyOn
 	// SteadyOff disables detection; the full weight window is summed.
 	SteadyOff
 )
@@ -179,9 +177,21 @@ func (o Options) poissonWeights(q, fgEps float64) (*numeric.PoissonWeights, erro
 	return w, nil
 }
 
-// sweep evaluates the uniformisation series Σ_n w(n)·vₙ with v₀ = v and
-// vₙ₊₁ = P·vₙ (forward = false) or vₙ₊₁ = vₙ·P (forward = true), returning
-// the accumulator and the number of matrix products actually applied.
+// sweep evaluates the uniformisation series Σ_n w(n)·vₙ for g initial
+// vectors at once, with v₀ = vs[j] and vₙ₊₁ = P·vₙ (forward = false) or
+// vₙ₊₁ = vₙ·P (forward = true), advancing all of them through each matrix
+// pass as one n×g block — one read of the matrix per step instead of g.
+// It returns the accumulators and the number of block matrix passes
+// applied. Column j of the outcome is bitwise equal to the sweep of vs[j]
+// alone: the block kernels keep the per-column arithmetic order of the
+// vector product (MulBlockPar exactly, MulBlockTPar at the same workers
+// value), the accumulator updates visit rows in ascending order like
+// AXPY, and steady-state detection runs per column with the identical
+// ColMaxDiff/δ test. A column that converges is charged its Poisson tail
+// and then compacted out of the block, which cannot disturb the
+// surviving columns because every block element accumulates only its own
+// column's products. At g = 1 the kernels and the column helpers take
+// their register and whole-slab specialisations.
 //
 // Steady-state detection: P is stochastic, so the iteration is
 // non-expansive in the ∞-norm. Once one application moves the iterate by
@@ -195,60 +205,89 @@ func (o Options) poissonWeights(q, fgEps float64) (*numeric.PoissonWeights, erro
 // every Workers value, so the early exit preserves bitwise determinism
 // across worker counts.
 //
-// Scratch vectors come from opts.Pool (nil-safe) and are returned to it;
-// the accumulator is pool-born and handed to the caller.
-func sweep(p *sparse.CSR, v []float64, w *numeric.PoissonWeights, q float64, opts Options, forward bool) ([]float64, int) {
+// Scratch blocks come from opts.Pool (nil-safe) and are returned to it;
+// the accumulators are pool-born and handed to the caller.
+func sweep(p *sparse.CSR, vs [][]float64, w *numeric.PoissonWeights, q float64, opts Options, forward bool) ([][]float64, int) {
 	n := p.Dim()
+	g := len(vs)
 	pool := opts.Pool
-	cur := pool.Get(n)
-	copy(cur, v)
-	next := pool.Get(n)
-	acc := pool.Get(n)
+	cur := sparse.NewBlock(n, g, pool)
+	for j, v := range vs {
+		cur.SetCol(j, v)
+	}
+	next := sparse.NewBlock(n, g, pool)
+	accs := make([][]float64, g)
+	for j := range accs {
+		accs[j] = pool.Get(n)
+	}
+	// active[c] is the original vector index held by block column c;
+	// steady-state compaction shrinks it in step with the blocks.
+	active := make([]int, g)
+	for j := range active {
+		active[j] = j
+	}
 	detect := opts.SteadyDetect.enabled()
 	_, steadyEps, _ := opts.budgetSplit(false)
 	delta := steadyEps / q
 	products := 0
-	for step := 0; step <= w.Right; step++ {
+	for step := 0; step <= w.Right && len(active) > 0; step++ {
 		if step >= w.Left {
-			sparse.AXPY(w.Weight(step), cur, acc)
+			for c, j := range active {
+				cur.ColAXPY(w.Weight(step), c, accs[j])
+			}
 		}
 		if step == w.Right {
 			break
 		}
 		if forward {
-			p.MulVecTPar(next, cur, opts.Workers) // row vector: next = cur·P
+			p.MulBlockTPar(next, cur, opts.Workers) // row vectors: next = cur·P
 		} else {
-			p.MulVecPar(next, cur, opts.Workers) // column vector: next = P·cur
+			p.MulBlockPar(next, cur, opts.Workers) // column vectors: next = P·cur
 		}
 		products++
 		if detect {
-			if diff := sparse.MaxDiff(next, cur); diff < delta {
+			// tail and kSum depend only on the step, so one computation
+			// serves every column that converges at it.
+			tailDone := false
+			var tail, kSum float64
+			for c := len(active) - 1; c >= 0; c-- {
+				diff := next.ColMaxDiff(cur, c)
+				if diff >= delta {
+					continue
+				}
 				// Converged: charge the remaining Poisson mass to the fixed
 				// point instead of applying w.Right − step more no-op
 				// products. kSum = Σ (k − step)·w(k) weights the measured
 				// step size diff into the exact series mis-weighting this
 				// shortcut causes.
-				var tail, kSum float64
-				for k := step + 1; k <= w.Right; k++ {
-					tail += w.Weight(k)
-					kSum += float64(k-step) * w.Weight(k)
+				if !tailDone {
+					for k := step + 1; k <= w.Right; k++ {
+						tail += w.Weight(k)
+						kSum += float64(k-step) * w.Weight(k)
+					}
+					tailDone = true
 				}
-				sparse.AXPY(tail, next, acc)
+				j := active[c]
+				next.ColAXPY(tail, c, accs[j])
 				if opts.Obs != nil {
 					opts.Obs.Counter("steady.detections").Inc()
 					opts.Obs.Charge("steady", "tail-charge", diff*kSum)
 				}
-				break
+				// Compact the frozen column out of both blocks; descending
+				// c keeps the remaining indices valid.
+				cur.DropCol(c)
+				next.DropCol(c)
+				active = append(active[:c], active[c+1:]...)
 			}
 		}
 		cur, next = next, cur
 	}
-	pool.Put(cur)
-	pool.Put(next)
+	cur.Release(pool)
+	next.Release(pool)
 	if opts.Obs != nil {
 		opts.Obs.Counter("sweep.products").Add(int64(products))
 	}
-	return acc, products
+	return accs, products
 }
 
 // Distribution returns the transient state distribution π(t) of the model's
@@ -265,45 +304,17 @@ func Distribution(m *mrm.MRM, t float64, opts Options) ([]float64, error) {
 //
 //numerics:domain prob init=prob t=rate
 func DistributionFrom(m *mrm.MRM, init []float64, t float64, opts Options) ([]float64, error) {
-	opts = opts.normalise()
-	if len(init) != m.N() {
-		return nil, fmt.Errorf("transient: initial vector length %d for %d states", len(init), m.N())
-	}
-	if t < 0 {
-		return nil, fmt.Errorf("transient: negative time bound %v", t)
-	}
-	if t == 0 {
-		return sparse.Clone(init), nil
-	}
-	lambda := opts.Lambda
-	if lambda == 0 {
-		lambda = m.UniformisationRate()
-	}
-	truncating := opts.Truncate > 0
-	span := opts.Obs.StartSpan("transient.uniformise")
-	p, err := opts.uniformised(m, lambda)
-	if err != nil {
-		return nil, fmt.Errorf("transient: %w", err)
-	}
-	fgEps, _, _ := opts.budgetSplit(truncating)
-	w, err := opts.poissonWeights(lambda*t, fgEps)
-	span.End()
-	if err != nil {
-		return nil, fmt.Errorf("transient: %w", err)
-	}
-	span = opts.Obs.StartSpan("transient.sweep")
-	var acc []float64
-	if truncating {
-		var dropped float64
-		acc, dropped, _ = sweepForwardTruncated(p, init, w, lambda*t, opts)
-		if opts.Obs != nil {
-			opts.Obs.Charge("truncation", "state-drop", dropped)
-		}
-	} else {
-		acc, _ = sweep(p, init, w, lambda*t, opts, true)
-	}
-	span.End()
-	return acc, nil
+	return first(run(m, [][]float64{init}, t, opts, true))
+}
+
+// DistributionFromMulti is DistributionFrom for several initial
+// distributions over the same model and time bound, advanced together as
+// one block per forward pass. result[j] is bitwise equal to
+// DistributionFrom(m, inits[j], t, opts) at the same Workers value.
+//
+//numerics:domain prob inits=prob t=rate
+func DistributionFromMulti(m *mrm.MRM, inits [][]float64, t float64, opts Options) ([][]float64, error) {
+	return run(m, inits, t, opts, true)
 }
 
 // ReachProbAll returns, for every state s, the probability that the CTMC is
@@ -313,12 +324,8 @@ func DistributionFrom(m *mrm.MRM, init []float64, t float64, opts Options) ([]fl
 //
 //numerics:domain prob t=rate
 func ReachProbAll(m *mrm.MRM, goal *mrm.StateSet, t float64, opts Options) ([]float64, error) {
-	opts = opts.normalise()
 	if goal.Universe() != m.N() {
 		return nil, fmt.Errorf("transient: goal universe %d for %d states", goal.Universe(), m.N())
-	}
-	if t < 0 {
-		return nil, fmt.Errorf("transient: negative time bound %v", t)
 	}
 	return BackwardWeighted(m, goal.Indicator(), t, opts)
 }
@@ -332,12 +339,68 @@ func ReachProbAll(m *mrm.MRM, goal *mrm.StateSet, t float64, opts Options) ([]fl
 //
 //numerics:domain t=rate
 func BackwardWeighted(m *mrm.MRM, v []float64, t float64, opts Options) ([]float64, error) {
+	return first(run(m, [][]float64{v}, t, opts, false))
+}
+
+// BackwardWeightedMulti is BackwardWeighted for several terminal weight
+// vectors over the same model and time bound: one block sweep advances all
+// of them through each matrix pass. result[j] is bitwise equal to
+// BackwardWeighted(m, vs[j], t, opts) at the same Workers value. When
+// opts.Pool is set the returned slices are pool-born; ownership transfers
+// to the caller.
+//
+//numerics:domain t=rate
+func BackwardWeightedMulti(m *mrm.MRM, vs [][]float64, t float64, opts Options) ([][]float64, error) {
+	return run(m, vs, t, opts, false)
+}
+
+// first unwraps the result of a one-vector run.
+func first(out [][]float64, err error) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// run is the shared body of the public sweeps: argument checks, the
+// uniformisation and Fox–Glynn spans, the budget split and one dense
+// sweep over all vectors — or, for a truncating forward request, the
+// truncated sweep.
+func run(m *mrm.MRM, vs [][]float64, t float64, opts Options, forward bool) ([][]float64, error) {
 	opts = opts.normalise()
-	if len(v) != m.N() {
-		return nil, fmt.Errorf("transient: terminal vector length %d for %d states", len(v), m.N())
+	for j, v := range vs {
+		if len(v) != m.N() {
+			return nil, fmt.Errorf("transient: vector %d length %d for %d states", j, len(v), m.N())
+		}
+	}
+	if t < 0 {
+		return nil, fmt.Errorf("transient: negative time bound %v", t)
+	}
+	if len(vs) == 0 {
+		return nil, nil
+	}
+	truncating := forward && opts.Truncate > 0
+	if truncating && len(vs) > 1 {
+		// The truncated forward sweep keeps a per-vector active window; a
+		// block advance would force the union of all windows on every
+		// column. Run the vectors through it one by one instead.
+		out := make([][]float64, len(vs))
+		for j, v := range vs {
+			//lint:ignore epsbudget each vector is an independent distribution with its own full-epsilon guarantee, exactly as if the caller had made the calls one by one
+			r, err := DistributionFrom(m, v, t, opts)
+			if err != nil {
+				return nil, err
+			}
+			out[j] = r
+		}
+		return out, nil
 	}
 	if t == 0 {
-		return sparse.Clone(v), nil
+		out := make([][]float64, len(vs))
+		for j, v := range vs {
+			out[j] = sparse.Clone(v)
+		}
+		return out, nil
 	}
 	lambda := opts.Lambda
 	if lambda == 0 {
@@ -348,16 +411,23 @@ func BackwardWeighted(m *mrm.MRM, v []float64, t float64, opts Options) ([]float
 	if err != nil {
 		return nil, fmt.Errorf("transient: %w", err)
 	}
-	fgEps, _, _ := opts.budgetSplit(false)
+	fgEps, _, _ := opts.budgetSplit(truncating)
 	w, err := opts.poissonWeights(lambda*t, fgEps)
 	span.End()
 	if err != nil {
 		return nil, fmt.Errorf("transient: %w", err)
 	}
 	span = opts.Obs.StartSpan("transient.sweep")
-	acc, _ := sweep(p, v, w, lambda*t, opts, false)
-	span.End()
-	return acc, nil
+	defer span.End()
+	if truncating {
+		acc, dropped, _ := sweepForwardTruncated(p, vs[0], w, lambda*t, opts)
+		if opts.Obs != nil {
+			opts.Obs.Charge("truncation", "state-drop", dropped)
+		}
+		return [][]float64{acc}, nil
+	}
+	accs, _ := sweep(p, vs, w, lambda*t, opts, forward)
+	return accs, nil
 }
 
 // TimeBoundedUntil computes Pr_s{Φ U^{≤t} Ψ} for every state s: the P1

@@ -1,10 +1,13 @@
 package transient
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/numeric"
 )
 
 // twoState builds 0 --λ--> 1 --μ--> 0.
@@ -68,6 +71,21 @@ func TestDistributionRejectsBadInput(t *testing.T) {
 	}
 	if _, err := DistributionFrom(m, []float64{1}, 1, DefaultOptions()); err == nil {
 		t.Error("wrong-length initial vector accepted")
+	}
+}
+
+// TestBackwardWeightedRejectsBadTime covers the time checks of the shared
+// sweep body on the backward entry point: a negative bound is refused by
+// name, and an infinite one is an accuracy error instead of a panic in the
+// Fox–Glynn window allocation.
+func TestBackwardWeightedRejectsBadTime(t *testing.T) {
+	m := twoState(t, 1, 1)
+	v := []float64{0, 1}
+	if _, err := BackwardWeighted(m, v, -1, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "negative time bound") {
+		t.Errorf("t=-1: err = %v, want the negative time bound error", err)
+	}
+	if _, err := BackwardWeighted(m, v, math.Inf(1), DefaultOptions()); !errors.Is(err, numeric.ErrAccuracy) {
+		t.Errorf("t=+Inf: err = %v, want numeric.ErrAccuracy", err)
 	}
 }
 

@@ -49,7 +49,8 @@ func TestTruncatedSweepBitwiseDense(t *testing.T) {
 	v := make([]float64, m.N())
 	v[0] = 1
 	opts := Options{Epsilon: 1e-9, SteadyDetect: SteadyOff}
-	dense, _ := sweep(p, v, w, q, opts, true)
+	denses, _ := sweep(p, [][]float64{v}, w, q, opts, true)
+	dense := denses[0]
 	opts.Truncate = 1e-300
 	got, dropped, _ := sweepForwardTruncated(p, v, w, q, opts)
 	if dropped != 0 {
@@ -82,7 +83,8 @@ func TestTruncatedSweepSoundBound(t *testing.T) {
 	v := make([]float64, m.N())
 	v[0] = 1
 	opts := Options{Epsilon: 1e-6, SteadyDetect: SteadyOff}
-	dense, _ := sweep(p, v, w, q, opts, true)
+	denses, _ := sweep(p, [][]float64{v}, w, q, opts, true)
+	dense := denses[0]
 	opts.Truncate = 1e-9
 	got, dropped, _ := sweepForwardTruncated(p, v, w, q, opts)
 	if dropped <= 0 {
