@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-github lint-consistency lint-dataflow bench-smoke bench-check serve-smoke fmt vet
+.PHONY: all build test race lint lint-github lint-consistency lint-dataflow bench-smoke bench-test bench-check serve-smoke fmt vet
 
 all: build lint test
 
@@ -42,6 +42,12 @@ bench-smoke:
 	$(GO) run ./cmd/perfbench -json BENCH_PR7.json -workers-sweep
 	$(GO) run ./cmd/mrmlint -bench-json BENCH_PR8.json ./...
 	$(GO) run ./cmd/perfbench -scale-json BENCH_PR9.json
+
+# The end-to-end benchmark's own tests (bench/, a module of its own): every
+# BENCHMARK.json workload runs briefly, traced and untraced, and the
+# metric names, units and the trace.coverage gate are checked (~30 s).
+bench-test:
+	cd bench && $(GO) test .
 
 # Compare a fresh benchmark run against the committed performance trail;
 # exits non-zero on >20% time or >10% allocation regressions, and refuses

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -73,7 +74,7 @@ func run(args []string, out io.Writer) (int, error) {
 		workers   = fs.Int("workers", 0, "worker goroutines for the numerical procedures (0 = all CPUs, 1 = sequential)")
 		states    = fs.Bool("states", false, "list every state with its verdict/value")
 		doLump    = fs.Bool("lump", true, "quotient the model by formula-respecting lumpability before checking (automatic pre-pass)")
-		truncate  = fs.Float64("truncate", 0, "drop states below this mass from the forward transient sweeps; the dropped mass is charged to the error ledger (0 = off)")
+		truncate  = fs.Float64("truncate", 0, "drop states below this mass from the forward transient sweeps; the dropped mass is charged to the error ledger (0 = off). A top-level time-bounded P-until over propositional operands is then checked from the initial states alone: no lump pre-pass, and only the rows the sweep window reaches are read")
 		stats     = fs.Bool("stats", false, "print the numerics report: error-budget ledger, counters and spans")
 	)
 	fs.Usage = func() {
@@ -98,6 +99,9 @@ func run(args []string, out io.Writer) (int, error) {
 		return 1, fmt.Errorf("exactly one formula argument expected, got %d", fs.NArg())
 	}
 	formulaSrc := fs.Arg(0)
+	if !(*truncate >= 0) || math.IsInf(*truncate, 1) {
+		return 1, fmt.Errorf("-truncate must be a finite mass >= 0 (0 = off), got %v", *truncate)
+	}
 
 	m, err := loadModel(*modelPath)
 	if err != nil {

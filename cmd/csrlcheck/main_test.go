@@ -381,3 +381,24 @@ func TestRunQueryTruncatedFastPath(t *testing.T) {
 		t.Errorf("fallback should still produce the value:\n%s", fallback.String())
 	}
 }
+
+// TestRunRejectsInvalidTruncate pins the -truncate validation: a negative
+// or non-finite threshold is an error naming the flag, not a silently
+// disabled (or, for NaN, half-enabled) truncation.
+func TestRunRejectsInvalidTruncate(t *testing.T) {
+	for _, v := range []string{"-1", "-1e-14", "NaN", "Inf", "-Inf"} {
+		var out bytes.Buffer
+		code, err := run([]string{"-model", "cluster:2", "-truncate", v, "P<=0.9 [ !down U{t<=2} down ]"}, &out)
+		if code != 1 || err == nil {
+			t.Errorf("-truncate %s: code %d err %v, want 1 and an error", v, code, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "-truncate") {
+			t.Errorf("-truncate %s: error %q should name the flag", v, err)
+		}
+	}
+	var out bytes.Buffer
+	if code, err := run([]string{"-model", "cluster:2", "-truncate", "0", "P<=0.9 [ !down U{t<=2} down ]"}, &out); code != 0 || err != nil {
+		t.Errorf("-truncate 0: code %d err %v, want the untruncated check", code, err)
+	}
+}

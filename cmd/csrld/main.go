@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -82,6 +83,10 @@ func run(args []string, out io.Writer) (int, error) {
 	if fs.NArg() != 0 {
 		fs.Usage()
 		return 1, fmt.Errorf("csrld takes no positional arguments, got %d", fs.NArg())
+	}
+
+	if !(*truncate >= 0) || math.IsInf(*truncate, 1) {
+		return 1, fmt.Errorf("-truncate must be a finite mass >= 0 (0 = off), got %v", *truncate)
 	}
 
 	opts := core.DefaultOptions()

@@ -62,3 +62,13 @@ func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 		t.Fatalf("unknown algorithm: code %d err %v, want 1 and an error", code, err)
 	}
 }
+
+func TestRunRejectsInvalidTruncate(t *testing.T) {
+	for _, v := range []string{"-1", "NaN", "Inf"} {
+		var out bytes.Buffer
+		code, err := run([]string{"-truncate", v, "-smoke"}, &out)
+		if code != 1 || err == nil || !strings.Contains(err.Error(), "-truncate") {
+			t.Errorf("-truncate %s: code %d err %v, want 1 and an error naming the flag", v, code, err)
+		}
+	}
+}

@@ -130,7 +130,8 @@ type Options struct {
 	// time-bounded P-until formulas, which evaluates a forward sweep from
 	// the initial states instead of a backward sweep over all states. The
 	// dropped mass is charged to the truncation/state-drop ledger term
-	// inside Epsilon. Zero (the default) keeps every result bitwise
+	// inside Epsilon. Any other value — zero (the default), negative or
+	// NaN — leaves truncation off and keeps every result bitwise
 	// unchanged.
 	Truncate float64
 	// Solve configures the linear solver for unbounded until and
@@ -369,8 +370,13 @@ func (c *Checker) sat(f logic.StateFormula) (*mrm.StateSet, error) {
 // distribution: it holds when every state with positive initial probability
 // satisfies it. The lumping pre-pass applies as in Sat; no lift-back is
 // needed, because a block carries positive initial mass exactly when one of
-// its states does and inherits their common verdict.
+// its states does and inherits their common verdict. The one exception is
+// the truncated fast path over propositional operands (see skipsLump),
+// which checks the full model directly.
 func (c *Checker) Check(f logic.StateFormula) (bool, error) {
+	if p, ok := c.skipsLump(f); ok && !p.Query {
+		return c.check(f)
+	}
 	q, _, err := c.lumpFor(logic.Atoms(f))
 	if err != nil {
 		return false, err
@@ -450,7 +456,7 @@ func (c *Checker) checkInitFast(f logic.StateFormula) (holds, ok bool, err error
 // time interval starts at zero — the shape TimeBoundedUntilFrom computes
 // by forward sweeps over the active window.
 func (c *Checker) initFastShape(f logic.StateFormula) (logic.Prob, logic.Until, bool) {
-	if c.opts.Truncate <= 0 {
+	if !(c.opts.Truncate > 0) {
 		return logic.Prob{}, logic.Until{}, false
 	}
 	p, isProb := f.(logic.Prob)
@@ -467,6 +473,37 @@ func (c *Checker) initFastShape(f logic.StateFormula) (logic.Prob, logic.Until, 
 	return p, u, true
 }
 
+// skipsLump reports whether f takes the truncated forward fast path with
+// propositional operands, the one shape that runs without the lump
+// pre-pass: its Sat(Φ) and Sat(Ψ) are label algebra, and its sweeps read
+// only the rows their windows reach, so the check costs O(active·row-nnz)
+// while a quotient would cost a pass over the whole space first. Operands
+// with nested P or S formulas do numerical work over every state, which
+// the quotient shrinks, so they keep the pre-pass.
+func (c *Checker) skipsLump(f logic.StateFormula) (logic.Prob, bool) {
+	p, u, ok := c.initFastShape(f)
+	return p, ok && propositional(u.Left) && propositional(u.Right)
+}
+
+// propositional reports whether f is built from atomic propositions by
+// the boolean connectives alone.
+func propositional(f logic.StateFormula) bool {
+	switch t := f.(type) {
+	case logic.True, logic.False, logic.Atomic:
+		return true
+	case logic.Not:
+		return propositional(t.Sub)
+	case logic.And:
+		return propositional(t.Left) && propositional(t.Right)
+	case logic.Or:
+		return propositional(t.Left) && propositional(t.Right)
+	case logic.Implies:
+		return propositional(t.Left) && propositional(t.Right)
+	default:
+		return false
+	}
+}
+
 // QueryInitial evaluates the numeric value of a P-formula from the initial
 // distribution alone: Σ_s α(s)·Pr_s(φ), the quantity a P=? query reports
 // for the initial state(s). When the truncated forward fast path applies
@@ -475,8 +512,12 @@ func (c *Checker) initFastShape(f logic.StateFormula) (logic.Prob, logic.Until, 
 // window, not to the state count — instead of the dense all-states Values
 // computation. ok reports whether the fast path applied; when false the
 // caller falls back to Values (and should say so, since the fallback
-// defeats the point of truncation).
+// defeats the point of truncation). Like Check, it skips the lump
+// pre-pass when the operands are propositional (see skipsLump).
 func (c *Checker) QueryInitial(f logic.StateFormula) (val float64, ok bool, err error) {
+	if _, ok := c.skipsLump(f); ok {
+		return c.queryInitial(f)
+	}
 	q, _, err := c.lumpFor(logic.Atoms(f))
 	if err != nil {
 		return 0, false, err

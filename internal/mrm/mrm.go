@@ -170,10 +170,16 @@ func (m *MRM) IsAbsorbing(s int) bool { return m.exit[s] == 0 }
 // uniformisation. A small headroom factor keeps the diagonal of the
 // uniformised matrix strictly positive, which improves convergence of the
 // underlying DTMC iteration (standard practice).
-func (m *MRM) UniformisationRate() float64 {
+func (m *MRM) UniformisationRate() float64 { return m.UniformisationRateAbsorbing(nil) }
+
+// UniformisationRateAbsorbing returns the rate UniformisationRate picks for
+// the model with the states of set made absorbing (nil: none), without
+// building that model: absorbing states have exit rate 0, so only the
+// exit rates of the other states count.
+func (m *MRM) UniformisationRateAbsorbing(set *StateSet) float64 {
 	var mx float64
-	for _, e := range m.exit {
-		if e > mx {
+	for s, e := range m.exit {
+		if e > mx && (set == nil || !set.Contains(s)) {
 			mx = e
 		}
 	}
@@ -183,17 +189,29 @@ func (m *MRM) UniformisationRate() float64 {
 	return mx * 1.02
 }
 
+// CheckUniformisationRate returns the error Uniformised reports for lambda
+// on the model with the states of set made absorbing (nil: none): lambda
+// must be positive and at least every remaining exit rate.
+func (m *MRM) CheckUniformisationRate(lambda float64, set *StateSet) error {
+	if lambda <= 0 {
+		return fmt.Errorf("%w: uniformisation rate %v must be positive", ErrModel, lambda)
+	}
+	for s, e := range m.exit {
+		if e > lambda*(1+1e-12) && (set == nil || !set.Contains(s)) {
+			return fmt.Errorf("%w: exit rate E(%d)=%v exceeds uniformisation rate %v", ErrModel, s, e, lambda)
+		}
+	}
+	return nil
+}
+
 // Uniformised returns the DTMC transition matrix P = I + Q/λ of the
 // uniformised chain, where Q = R - diag(E). λ must be ≥ max_s E(s).
 func (m *MRM) Uniformised(lambda float64) (*sparse.CSR, error) {
-	if lambda <= 0 {
-		return nil, fmt.Errorf("%w: uniformisation rate %v must be positive", ErrModel, lambda)
+	if err := m.CheckUniformisationRate(lambda, nil); err != nil {
+		return nil, err
 	}
 	b := sparse.NewBuilder(m.n)
 	for s := 0; s < m.n; s++ {
-		if m.exit[s] > lambda*(1+1e-12) {
-			return nil, fmt.Errorf("%w: exit rate E(%d)=%v exceeds uniformisation rate %v", ErrModel, s, m.exit[s], lambda)
-		}
 		diag := 1 - m.exit[s]/lambda
 		if diag < 0 {
 			diag = 0

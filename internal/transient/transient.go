@@ -34,7 +34,9 @@ type Cache interface {
 	// deriving and retaining it on first use. Derived models are shared
 	// between callers and must be treated as immutable. Without this, the
 	// until procedures rebuild the restricted model per call and its fresh
-	// pointer defeats the Uniformised memo.
+	// pointer defeats the Uniformised memo. Only the dense routes use it:
+	// the truncated forward route reads the absorbing rows from the base
+	// model on demand and derives no model.
 	Absorbing(m *mrm.MRM, set *mrm.StateSet, zeroReward bool) (*mrm.MRM, error)
 }
 
@@ -72,10 +74,11 @@ type Options struct {
 	// (budgetSplit reserves a third of the budget for it; the exact dropped
 	// mass is charged to the truncation/state-drop ledger term). The
 	// iterate of a forward sweep is a sub-distribution, so the dropped mass
-	// directly bounds the ℓ1 error of the result. Zero (the default)
-	// disables truncation and keeps every existing result bitwise
-	// unchanged. Backward sweeps ignore the field: their iterate is not a
-	// distribution and small entries carry no mass bound.
+	// directly bounds the ℓ1 error of the result. Any other value — zero
+	// (the default), negative or NaN — disables truncation and keeps every
+	// existing result bitwise unchanged. Backward sweeps ignore the field:
+	// their iterate is not a distribution and small entries carry no mass
+	// bound.
 	Truncate float64
 	// SteadyDetect controls steady-state detection: when the sweep iterate
 	// moves by less than (ε/2)/(λt) in the ∞-norm, the remaining Poisson
@@ -304,7 +307,7 @@ func Distribution(m *mrm.MRM, t float64, opts Options) ([]float64, error) {
 //
 //numerics:domain prob init=prob t=rate
 func DistributionFrom(m *mrm.MRM, init []float64, t float64, opts Options) ([]float64, error) {
-	return first(run(m, [][]float64{init}, t, opts, true))
+	return first(run(m, nil, [][]float64{init}, t, opts, true))
 }
 
 // DistributionFromMulti is DistributionFrom for several initial
@@ -314,7 +317,7 @@ func DistributionFrom(m *mrm.MRM, init []float64, t float64, opts Options) ([]fl
 //
 //numerics:domain prob inits=prob t=rate
 func DistributionFromMulti(m *mrm.MRM, inits [][]float64, t float64, opts Options) ([][]float64, error) {
-	return run(m, inits, t, opts, true)
+	return run(m, nil, inits, t, opts, true)
 }
 
 // ReachProbAll returns, for every state s, the probability that the CTMC is
@@ -339,7 +342,7 @@ func ReachProbAll(m *mrm.MRM, goal *mrm.StateSet, t float64, opts Options) ([]fl
 //
 //numerics:domain t=rate
 func BackwardWeighted(m *mrm.MRM, v []float64, t float64, opts Options) ([]float64, error) {
-	return first(run(m, [][]float64{v}, t, opts, false))
+	return first(run(m, nil, [][]float64{v}, t, opts, false))
 }
 
 // BackwardWeightedMulti is BackwardWeighted for several terminal weight
@@ -351,7 +354,7 @@ func BackwardWeighted(m *mrm.MRM, v []float64, t float64, opts Options) ([]float
 //
 //numerics:domain t=rate
 func BackwardWeightedMulti(m *mrm.MRM, vs [][]float64, t float64, opts Options) ([][]float64, error) {
-	return run(m, vs, t, opts, false)
+	return run(m, nil, vs, t, opts, false)
 }
 
 // first unwraps the result of a one-vector run.
@@ -365,13 +368,18 @@ func first(out [][]float64, err error) ([]float64, error) {
 // run is the shared body of the public sweeps: argument checks, the
 // uniformisation and Fox–Glynn spans, the budget split and one dense
 // sweep over all vectors — or, for a truncating forward request, the
-// truncated sweep.
-func run(m *mrm.MRM, vs [][]float64, t float64, opts Options, forward bool) ([][]float64, error) {
+// truncated sweep. absorb, when non-nil, is a set of states the sweep
+// treats as absorbing: the dense route derives the absorbing model for
+// it, the truncated route reads the window's rows from m directly.
+func run(m *mrm.MRM, absorb *mrm.StateSet, vs [][]float64, t float64, opts Options, forward bool) ([][]float64, error) {
 	opts = opts.normalise()
 	for j, v := range vs {
 		if len(v) != m.N() {
 			return nil, fmt.Errorf("transient: vector %d length %d for %d states", j, len(v), m.N())
 		}
+	}
+	if absorb != nil && absorb.Universe() != m.N() {
+		return nil, fmt.Errorf("transient: %w: absorbing set universe %d for %d states", mrm.ErrModel, absorb.Universe(), m.N())
 	}
 	if t < 0 {
 		return nil, fmt.Errorf("transient: negative time bound %v", t)
@@ -385,9 +393,9 @@ func run(m *mrm.MRM, vs [][]float64, t float64, opts Options, forward bool) ([][
 		// block advance would force the union of all windows on every
 		// column. Run the vectors through it one by one instead.
 		out := make([][]float64, len(vs))
-		for j, v := range vs {
+		for j := range vs {
 			//lint:ignore epsbudget each vector is an independent distribution with its own full-epsilon guarantee, exactly as if the caller had made the calls one by one
-			r, err := DistributionFrom(m, v, t, opts)
+			r, err := first(run(m, absorb, vs[j:j+1], t, opts, true))
 			if err != nil {
 				return nil, err
 			}
@@ -402,6 +410,20 @@ func run(m *mrm.MRM, vs [][]float64, t float64, opts Options, forward bool) ([][
 		}
 		return out, nil
 	}
+	if truncating {
+		acc, err := runTruncated(m, absorb, vs[0], t, opts)
+		if err != nil {
+			return nil, err
+		}
+		return [][]float64{acc}, nil
+	}
+	if absorb != nil {
+		abs, err := opts.absorbing(m, absorb, false)
+		if err != nil {
+			return nil, fmt.Errorf("transient: %w", err)
+		}
+		m = abs
+	}
 	lambda := opts.Lambda
 	if lambda == 0 {
 		lambda = m.UniformisationRate()
@@ -411,7 +433,7 @@ func run(m *mrm.MRM, vs [][]float64, t float64, opts Options, forward bool) ([][
 	if err != nil {
 		return nil, fmt.Errorf("transient: %w", err)
 	}
-	fgEps, _, _ := opts.budgetSplit(truncating)
+	fgEps, _, _ := opts.budgetSplit(false)
 	w, err := opts.poissonWeights(lambda*t, fgEps)
 	span.End()
 	if err != nil {
@@ -419,15 +441,41 @@ func run(m *mrm.MRM, vs [][]float64, t float64, opts Options, forward bool) ([][
 	}
 	span = opts.Obs.StartSpan("transient.sweep")
 	defer span.End()
-	if truncating {
-		acc, dropped, _ := sweepForwardTruncated(p, vs[0], w, lambda*t, opts)
-		if opts.Obs != nil {
-			opts.Obs.Charge("truncation", "state-drop", dropped)
-		}
-		return [][]float64{acc}, nil
-	}
 	accs, _ := sweep(p, vs, w, lambda*t, opts, forward)
 	return accs, nil
+}
+
+// runTruncated is the truncated forward route of run for one vector: no
+// absorbing model and no uniformised matrix are built. The rate is the
+// one the materialised matrix would use — opts.Lambda, else
+// UniformisationRate of the model with absorb made absorbing — and the
+// sweep reads P through uniformRows, so the result is bitwise the
+// truncated sweep over MakeAbsorbing + Uniformised. The rate scan and
+// Fox–Glynn run inside the uniformise span, the row arena and the sweep
+// inside the sweep span.
+func runTruncated(m *mrm.MRM, absorb *mrm.StateSet, v []float64, t float64, opts Options) ([]float64, error) {
+	span := opts.Obs.StartSpan("transient.uniformise")
+	lambda := opts.Lambda
+	if lambda == 0 {
+		lambda = m.UniformisationRateAbsorbing(absorb)
+	} else if err := m.CheckUniformisationRate(lambda, absorb); err != nil {
+		span.End()
+		return nil, fmt.Errorf("transient: %w", err)
+	}
+	fgEps, _, _ := opts.budgetSplit(true)
+	w, err := opts.poissonWeights(lambda*t, fgEps)
+	span.End()
+	if err != nil {
+		return nil, fmt.Errorf("transient: %w", err)
+	}
+	span = opts.Obs.StartSpan("transient.sweep")
+	defer span.End()
+	rows := newUniformRows(m, absorb, lambda)
+	acc, dropped, _ := sweepForwardTruncated(rows, v, w, lambda*t, opts)
+	if opts.Obs != nil {
+		opts.Obs.Charge("truncation", "state-drop", dropped)
+	}
+	return acc, nil
 }
 
 // TimeBoundedUntil computes Pr_s{Φ U^{≤t} Ψ} for every state s: the P1

@@ -10,6 +10,87 @@ import (
 	"github.com/performability/csrl/internal/sparse"
 )
 
+// rowSource serves the rows of a uniformised matrix as column and value
+// slices, valid until the next call. *sparse.CSR serves a
+// materialised matrix; uniformRows builds the rows the window touches.
+type rowSource interface {
+	RowRange(s int) (cols []int, vals []float64)
+}
+
+// uniformRows is the uniformised matrix P = I + Q/λ of a model with a set
+// of states made absorbing, read straight from the model's rate CSR: a row
+// is built on first touch into a per-call arena, so a truncated sweep pays
+// for the rows its window reaches and never for the full space. Each row
+// has exactly the stored entries and values that mrm.MakeAbsorbing
+// followed by MRM.Uniformised would give it — P(s,s) = max(0, 1 − E(s)/λ),
+// P(s,t) = R(s,t)/λ for every stored non-zero, and the unit diagonal
+// alone for an absorbing state — so a sweep over it is bitwise the sweep
+// over the materialised matrix. The order of entries within a row does
+// not matter: the sweep's scatter accumulates every target in ascending
+// source order and sorts its window.
+type uniformRows struct {
+	rates  *sparse.CSR
+	exit   []float64
+	absorb *mrm.StateSet // nil: no state absorbing
+	lambda float64
+	// Row s occupies cols/vals[lo[s]-1 : hi[s]]; lo[s] == 0 marks a row
+	// not built yet.
+	lo, hi []int
+	cols   []int
+	vals   []float64
+}
+
+func newUniformRows(m *mrm.MRM, absorb *mrm.StateSet, lambda float64) *uniformRows {
+	return &uniformRows{
+		rates:  m.Rates(),
+		exit:   m.ExitRatesView(),
+		absorb: absorb,
+		lambda: lambda,
+		lo:     make([]int, m.N()),
+		hi:     make([]int, m.N()),
+		cols:   make([]int, 0, 256),
+		vals:   make([]float64, 0, 256),
+	}
+}
+
+// RowRange returns row s of P, building it on first touch.
+func (r *uniformRows) RowRange(s int) (cols []int, vals []float64) {
+	if r.lo[s] == 0 {
+		r.build(s)
+	}
+	lo, hi := r.lo[s]-1, r.hi[s]
+	return r.cols[lo:hi], r.vals[lo:hi]
+}
+
+// build appends row s to the arena: the diagonal first, then the rates.
+// The diagonal is the expression of MRM.Uniformised on the absorbing
+// model, where an absorbing state's exit rate is 0; the rate CSR stores
+// no diagonal (mrm.Builder rejects self-loops), so nothing merges into it.
+func (r *uniformRows) build(s int) {
+	absorbing := r.absorb != nil && r.absorb.Contains(s)
+	var exit float64
+	if !absorbing {
+		exit = r.exit[s]
+	}
+	diag := 1 - exit/r.lambda
+	if diag < 0 {
+		diag = 0
+	}
+	lo := len(r.cols)
+	r.cols = append(r.cols, s)
+	r.vals = append(r.vals, diag)
+	if !absorbing {
+		cols, vals := r.rates.RowRange(s)
+		for k, t := range cols {
+			if vals[k] != 0 {
+				r.cols = append(r.cols, t)
+				r.vals = append(r.vals, vals[k]/r.lambda)
+			}
+		}
+	}
+	r.lo[s], r.hi[s] = lo+1, len(r.cols)
+}
+
 // sweepForwardTruncated is the truncating variant of the forward sweep:
 // Σ_n w(n)·vₙ with vₙ₊₁ = vₙ·P, where each step keeps only an active
 // window of states and drops entries whose mass lies below opts.Truncate,
@@ -20,8 +101,8 @@ import (
 // sound ℓ1 bound on the truncation error. Callers owe the ledger the
 // returned mass.
 //
-// The step kernel is a row-scatter over the active states via CSR row
-// views — the matrix is read only at the rows the window touches, which is
+// The step kernel is a row-scatter over the active states via the rows of
+// p — the matrix is read only at the rows the window touches, which is
 // the whole point: cost per step is O(active·row-nnz), not O(nnz). The
 // active lists are kept in ascending state order and the accumulator
 // updates mirror the dense kernels' per-entry arithmetic, so with a
@@ -34,8 +115,8 @@ import (
 // dropped mass and the number of matrix passes.
 //
 //numerics:truncates truncation/state-drop
-func sweepForwardTruncated(p *sparse.CSR, v []float64, w *numeric.PoissonWeights, q float64, opts Options) (accOut []float64, dropped float64, products int) {
-	n := p.Dim()
+func sweepForwardTruncated(p rowSource, v []float64, w *numeric.PoissonWeights, q float64, opts Options) (accOut []float64, dropped float64, products int) {
+	n := len(v)
 	pool := opts.Pool
 	acc := pool.Get(n)
 	curVals := pool.Get(n)
@@ -160,7 +241,9 @@ func sweepForwardTruncated(p *sparse.CSR, v []float64, w *numeric.PoissonWeights
 // but its iterate is a value vector, not a distribution, so it cannot
 // truncate soundly. The forward orientation is what Options.Truncate needs
 // at scale: when the chain cannot drift far from the start state within t,
-// the active window stays a vanishing fraction of the state space.
+// the active window stays a vanishing fraction of the state space, and the
+// truncated route reads only the window's rows from m (see uniformRows)
+// instead of deriving the absorbing model and its uniformised matrix.
 //
 //numerics:domain prob t=rate
 func TimeBoundedUntilFrom(m *mrm.MRM, phi, psi *mrm.StateSet, from int, t float64, opts Options) (float64, error) {
@@ -168,14 +251,10 @@ func TimeBoundedUntilFrom(m *mrm.MRM, phi, psi *mrm.StateSet, from int, t float6
 		return 0, fmt.Errorf("transient: until-from: state %d out of range [0,%d)", from, m.N())
 	}
 	absorb := phi.Union(psi).Complement().Union(psi)
-	abs, err := opts.absorbing(m, absorb, false)
-	if err != nil {
-		return 0, fmt.Errorf("transient: until-from: %w", err)
-	}
 	opts = opts.normalise()
 	init := opts.Pool.Get(m.N())
 	init[from] = 1
-	dist, err := DistributionFrom(abs, init, t, opts)
+	dist, err := first(run(m, absorb, [][]float64{init}, t, opts, true))
 	opts.Pool.Put(init)
 	if err != nil {
 		return 0, fmt.Errorf("transient: until-from: %w", err)

@@ -1,9 +1,13 @@
 package transient
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
+	"github.com/performability/csrl/internal/adhoc"
+	"github.com/performability/csrl/internal/cluster"
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/numeric"
 	"github.com/performability/csrl/internal/obs"
@@ -184,5 +188,185 @@ func TestTimeBoundedUntilFromMatchesBackward(t *testing.T) {
 	}
 	if _, err := TimeBoundedUntilFrom(m, phi, psi, m.N(), horizon, topts); err == nil {
 		t.Errorf("out-of-range start state accepted")
+	}
+}
+
+// materialisedFrom is the oracle for the truncated route: the absorbing
+// model and its uniformised matrix built in full (MakeAbsorbing +
+// Uniformised), and the sweep reading CSR row views, with the same rate
+// choice, spans-free budget split and ledger charges as runTruncated.
+func materialisedFrom(m *mrm.MRM, absorb *mrm.StateSet, init []float64, t float64, opts Options) ([]float64, error) {
+	opts = opts.normalise()
+	if absorb != nil {
+		abs, err := m.MakeAbsorbing(absorb, false)
+		if err != nil {
+			return nil, err
+		}
+		m = abs
+	}
+	lambda := opts.Lambda
+	if lambda == 0 {
+		lambda = m.UniformisationRate()
+	}
+	p, err := m.Uniformised(lambda)
+	if err != nil {
+		return nil, err
+	}
+	fgEps, _, _ := opts.budgetSplit(true)
+	w, err := opts.poissonWeights(lambda*t, fgEps)
+	if err != nil {
+		return nil, err
+	}
+	acc, dropped, _ := sweepForwardTruncated(p, init, w, lambda*t, opts)
+	if opts.Obs != nil {
+		opts.Obs.Charge("truncation", "state-drop", dropped)
+	}
+	return acc, nil
+}
+
+// sameBits reports whether two vectors are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameLedger compares the budget charges, counters and gauges of two
+// reports bit for bit; span timings are left out.
+func sameLedger(t *testing.T, what string, got, want *obs.Report) {
+	t.Helper()
+	if len(got.Budget) != len(want.Budget) {
+		t.Fatalf("%s: ledger %v, oracle %v", what, got.Budget, want.Budget)
+	}
+	for i := range got.Budget {
+		g, w := got.Budget[i], want.Budget[i]
+		if g.Component != w.Component || g.Term != w.Term || math.Float64bits(g.Amount) != math.Float64bits(w.Amount) {
+			t.Errorf("%s: charge %d = %+v, oracle %+v", what, i, g, w)
+		}
+	}
+	if !reflect.DeepEqual(got.Counters, want.Counters) {
+		t.Errorf("%s: counters %v, oracle %v", what, got.Counters, want.Counters)
+	}
+	if !reflect.DeepEqual(got.Gauges, want.Gauges) {
+		t.Errorf("%s: gauges %v, oracle %v", what, got.Gauges, want.Gauges)
+	}
+}
+
+// TestTruncatedRowsBitwiseMaterialised pins the lazily built rows against
+// the materialised route they replace: TimeBoundedUntilFrom and truncating
+// DistributionFrom must return the oracle's values and charge its ledger
+// bit for bit, across thresholds that drop nothing, some or a lot, with
+// the automatic rate and with an explicit opts.Lambda.
+func TestTruncatedRowsBitwiseMaterialised(t *testing.T) {
+	station, err := adhoc.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c60, err := cluster.Default(60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := c60.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		m        *mrm.MRM
+		phi, psi *mrm.StateSet
+		horizon  float64
+		from     []int
+	}{
+		{"station", station, station.Label("call_idle").Union(station.Label("doze")),
+			station.Label("call_initiated"), 24, []int{0, 3, station.N() - 1}},
+		{"cluster60", cm, cm.Label("down").Complement(), cm.Label("down"),
+			96, []int{cm.InitialState(), cm.N() / 2}},
+	}
+	for _, tc := range cases {
+		absorb := tc.phi.Union(tc.psi).Complement().Union(tc.psi)
+		for _, thr := range []float64{1e-300, 1e-14, 1e-9} {
+			for _, lambdaScale := range []float64{0, 1.5} {
+				opts := Options{Epsilon: 1e-8, Truncate: thr}
+				if lambdaScale != 0 {
+					opts.Lambda = lambdaScale * tc.m.UniformisationRate()
+				}
+				label := fmt.Sprintf("%s thr=%g lambda=%g", tc.name, thr, opts.Lambda)
+
+				// DistributionFrom from the model's initial distribution.
+				gotRec, wantRec := obs.New(), obs.New()
+				opts.Obs = gotRec
+				got, err := DistributionFrom(tc.m, tc.m.InitView(), tc.horizon, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Obs = wantRec
+				want, err := materialisedFrom(tc.m, nil, tc.m.InitView(), tc.horizon, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(got, want) {
+					t.Errorf("%s: DistributionFrom differs from the materialised route", label)
+				}
+				sameLedger(t, label+" DistributionFrom", gotRec.Report(opts.Epsilon), wantRec.Report(opts.Epsilon))
+
+				for _, from := range tc.from {
+					gotRec, wantRec := obs.New(), obs.New()
+					opts.Obs = gotRec
+					got, err := TimeBoundedUntilFrom(tc.m, tc.phi, tc.psi, from, tc.horizon, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Obs = wantRec
+					init := make([]float64, tc.m.N())
+					init[from] = 1
+					dist, err := materialisedFrom(tc.m, absorb, init, tc.horizon, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want float64
+					tc.psi.Each(func(s int) { want += dist[s] })
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s from=%d: TimeBoundedUntilFrom %v, materialised %v", label, from, got, want)
+					}
+					sameLedger(t, fmt.Sprintf("%s from=%d", label, from), gotRec.Report(opts.Epsilon), wantRec.Report(opts.Epsilon))
+				}
+			}
+		}
+	}
+}
+
+// TestTruncatedRateChecks pins the rate validation of the truncated route
+// to the materialised one: an explicit λ below an exit rate outside the
+// absorbing set is an error, one below only absorbed exit rates is not.
+func TestTruncatedRateChecks(t *testing.T) {
+	m := birthDeath(t, 10, 1.0, 2.0) // largest exit rate 3
+	psi := m.Label("goal")
+	phi := psi.Complement()
+	opts := Options{Epsilon: 1e-9, Truncate: 1e-14, Lambda: 1.0}
+	if _, err := TimeBoundedUntilFrom(m, phi, psi, 0, 2, opts); err == nil {
+		t.Errorf("λ = 1 below the exit rate 3 accepted")
+	}
+	opts.Lambda = -1
+	if _, err := DistributionFrom(m, m.InitView(), 2, opts); err == nil {
+		t.Errorf("negative λ accepted")
+	}
+	all := mrm.NewStateSet(m.N()).Complement()
+	opts.Lambda = 0.5
+	got, err := run(m, all, [][]float64{m.InitView()}, 2, opts, true)
+	if err != nil {
+		t.Fatalf("λ = 0.5 with every state absorbing: %v", err)
+	}
+	want, err := materialisedFrom(m, all, m.InitView(), 2, opts)
+	if err != nil {
+		t.Fatalf("oracle, λ = 0.5 with every state absorbing: %v", err)
+	}
+	if !sameBits(got[0], want) {
+		t.Errorf("all-absorbing chain: %v, oracle %v", got[0][:3], want[:3])
 	}
 }
