@@ -85,6 +85,28 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 	vs := [][]float64{down.Indicator(), c60.Label("degraded").Indicator(), reward}
 
+	// A constant column is a fixed point of P, so it converges at step 0
+	// and is charged its tail and dropped while down keeps sweeping.
+	ones := make([]float64, c60.N())
+	for s := range ones {
+		ones[s] = 1
+	}
+	withOnes := [][]float64{down.Indicator(), ones}
+
+	// down made absorbing: its rows are lone unit diagonals. The terminal
+	// vector puts −0, a negative and a > 1 entry on three of them, so the
+	// first product's 0 + 1·v[i] on those rows is pinned (−0 becomes +0).
+	abs60, err := c60.MakeAbsorbing(down, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := down.Indicator()
+	var downStates []int
+	down.Each(func(s int) { downStates = append(downStates, s) })
+	odd[downStates[0]] = math.Copysign(0, -1)
+	odd[downStates[len(downStates)/2]] = -0.75
+	odd[downStates[len(downStates)-1]] = 3.5
+
 	one := func(v []float64, err error) ([][]float64, error) { return [][]float64{v}, err }
 	return []goldenCase{
 		{
@@ -153,6 +175,28 @@ func goldenCases(t *testing.T) []goldenCase {
 			want: map[int]goldenWant{
 				1: {"9dd47b5b7f0a65502d57093707e53702d62c9c16233dbafe8d2e9a19dfe0400f", 204},
 				4: {"9dd47b5b7f0a65502d57093707e53702d62c9c16233dbafe8d2e9a19dfe0400f", 204},
+			},
+		},
+		{
+			name: "cluster60-backward-multi-constant-col",
+			run: func(opts transient.Options) ([][]float64, error) {
+				opts.Epsilon = 1e-8
+				return transient.BackwardWeightedMulti(c60, withOnes, 24, opts)
+			},
+			want: map[int]goldenWant{
+				1: {"2d4df732be6867e491bd71f3a389adf5707627af47f31b86d8cf8c97ed47afdb", 52},
+				4: {"2d4df732be6867e491bd71f3a389adf5707627af47f31b86d8cf8c97ed47afdb", 52},
+			},
+		},
+		{
+			name: "cluster60-absorbing-signed-terminal",
+			run: func(opts transient.Options) ([][]float64, error) {
+				opts.Epsilon = 1e-8
+				return one(transient.BackwardWeighted(abs60, odd, 96, opts))
+			},
+			want: map[int]goldenWant{
+				1: {"3086a38e268061a89b300d1e6e7f6f059da914f0710a860278b8466ea3203ff3", 631},
+				4: {"3086a38e268061a89b300d1e6e7f6f059da914f0710a860278b8466ea3203ff3", 631},
 			},
 		},
 	}
