@@ -210,18 +210,36 @@ func (m *MRM) Uniformised(lambda float64) (*sparse.CSR, error) {
 	if err := m.CheckUniformisationRate(lambda, nil); err != nil {
 		return nil, err
 	}
-	b := sparse.NewBuilder(m.n)
+	// Row by row from the sorted rate CSR: the diagonal goes in at its
+	// column, merged as diag + R(s,s)/λ with a stored self-loop, so the
+	// arrays equal those of assembling the same entries as triplets.
+	b := sparse.NewRowBuilder(m.n, m.rates.NNZ()+m.n)
 	for s := 0; s < m.n; s++ {
 		diag := 1 - m.exit[s]/lambda
 		if diag < 0 {
 			diag = 0
 		}
-		b.Add(s, s, diag)
-		m.rates.Row(s, func(t int, v float64) {
-			if v != 0 {
-				b.Add(s, t, v/lambda)
+		placed := false
+		cols, vals := m.rates.RowRange(s)
+		for k, t := range cols {
+			v := vals[k]
+			if v == 0 {
+				continue
 			}
-		})
+			if !placed && t >= s {
+				placed = true
+				if t == s {
+					b.Add(s, diag+v/lambda)
+					continue
+				}
+				b.Add(s, diag)
+			}
+			b.Add(t, v/lambda)
+		}
+		if !placed {
+			b.Add(s, diag)
+		}
+		b.EndRow()
 	}
 	return b.Build()
 }

@@ -13,18 +13,7 @@ func (m *MRM) MakeAbsorbing(set *StateSet, zeroReward bool) (*MRM, error) {
 	if set.Universe() != m.n {
 		return nil, fmt.Errorf("%w: set universe %d for model with %d states", ErrModel, set.Universe(), m.n)
 	}
-	b := sparse.NewBuilder(m.n)
-	for s := 0; s < m.n; s++ {
-		if set.Contains(s) {
-			continue
-		}
-		m.rates.Row(s, func(t int, v float64) {
-			if v != 0 {
-				b.Add(s, t, v)
-			}
-		})
-	}
-	rates, err := b.Build()
+	rates, err := withoutRows(m.rates, set)
 	if err != nil {
 		return nil, fmt.Errorf("mrm: make absorbing: %w", err)
 	}
@@ -43,18 +32,12 @@ func (m *MRM) MakeAbsorbing(set *StateSet, zeroReward bool) (*MRM, error) {
 	var impulses *sparse.CSR
 	if m.impulses != nil {
 		// Impulses of removed (outgoing) transitions disappear with them.
-		ib := sparse.NewBuilder(m.n)
-		m.impulses.Each(func(i, j int, v float64) {
-			if v != 0 && !set.Contains(i) {
-				ib.Add(i, j, v)
-			}
-		})
-		if ib.Len() > 0 {
-			var err error
-			impulses, err = ib.Build()
-			if err != nil {
-				return nil, fmt.Errorf("mrm: make absorbing: %w", err)
-			}
+		impulses, err = withoutRows(m.impulses, set)
+		if err != nil {
+			return nil, fmt.Errorf("mrm: make absorbing: %w", err)
+		}
+		if impulses.NNZ() == 0 {
+			impulses = nil
 		}
 	}
 	return &MRM{
@@ -67,6 +50,24 @@ func (m *MRM) MakeAbsorbing(set *StateSet, zeroReward bool) (*MRM, error) {
 		labels:   labels,
 		impulses: impulses,
 	}, nil
+}
+
+// withoutRows copies the non-zero entries of a, row by row in its sorted
+// order, leaving the rows of set empty.
+func withoutRows(a *sparse.CSR, set *StateSet) (*sparse.CSR, error) {
+	b := sparse.NewRowBuilder(a.Dim(), a.NNZ())
+	for s := 0; s < a.Dim(); s++ {
+		if !set.Contains(s) {
+			cols, vals := a.RowRange(s)
+			for k, t := range cols {
+				if vals[k] != 0 {
+					b.Add(t, vals[k])
+				}
+			}
+		}
+		b.EndRow()
+	}
+	return b.Build()
 }
 
 // UntilReduction is the result of applying Theorem 1: the reduced MRM M'

@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"math"
-
-	"github.com/performability/csrl/internal/parallel"
-)
+import "github.com/performability/csrl/internal/parallel"
 
 // Block is a dense n×g column block: g column vectors of length n stored
 // row-major in one slab, so data[i*g+j] is element i of column j. The block
@@ -109,22 +105,6 @@ func (b *Block) AXPYIntoCol(alpha float64, j int, src []float64) {
 	}
 }
 
-// ColMaxDiff returns max_i |b[i,j] − o[i,j]|, evaluated in the same
-// ascending-row order as MaxDiff on standalone vectors so steady-state
-// detection decides identically for every column count.
-func (b *Block) ColMaxDiff(o *Block, j int) float64 {
-	if b.g == 1 {
-		return MaxDiff(b.data, o.data) // the slabs are the columns
-	}
-	var mx float64
-	for i := 0; i < b.n; i++ {
-		if d := math.Abs(b.data[i*b.g+j] - o.data[i*b.g+j]); d > mx {
-			mx = d
-		}
-	}
-	return mx
-}
-
 // DropCol removes column j in place by left-packing the remaining columns,
 // shrinking the block to n×(g−1). The pack walks rows in ascending order,
 // so every write lands at or before its read position and no live element
@@ -174,26 +154,12 @@ func (m *CSR) MulBlockRows(dst, src []float64, g, lo, hi int) {
 	if g == 1 {
 		// Register specialisation: identical arithmetic, fewer stores.
 		for i := lo; i < hi; i++ {
-			var s float64
-			for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-				s += m.val[k] * src[m.col[k]]
-			}
-			dst[i] = s
+			dst[i] = m.rowDot(i, src)
 		}
 		return
 	}
 	for i := lo; i < hi; i++ {
-		drow := dst[i*g : (i+1)*g]
-		for j := range drow {
-			drow[j] = 0
-		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			v := m.val[k]
-			srow := src[m.col[k]*g : (m.col[k]+1)*g]
-			for j, sv := range srow {
-				drow[j] += v * sv
-			}
-		}
+		m.rowBlock(i, dst[i*g:(i+1)*g], src, g)
 	}
 }
 
@@ -204,7 +170,8 @@ func (m *CSR) MulBlockRows(dst, src []float64, g, lo, hi int) {
 // identical for every workers value — workers = 1 is the sequential
 // kernel — and column j equals the vector product M·src[:, j]. The
 // fan-out threshold scales with g: one block pass does g vectors' worth
-// of work. dst and src must not alias and must agree on shape.
+// of work. dst and src must not alias and must agree on shape. The
+// partitioned route is one step of a SweepPlan that computes every row.
 func (m *CSR) MulBlockPar(dst, src *Block, workers int) {
 	if dst.n != m.n || src.n != m.n || dst.g != src.g {
 		//lint:ignore bannedcall dimension mismatch is a programmer error on the hottest kernel; an error return would tax every caller
@@ -215,16 +182,8 @@ func (m *CSR) MulBlockPar(dst, src *Block, workers int) {
 		m.MulBlockRows(dst.data, src.data, src.g, 0, m.n)
 		return
 	}
-	g := src.g
-	cuts := m.rowCuts(w)
-	tasks := make([]func(), 0, len(cuts)-1)
-	for c := 0; c+1 < len(cuts); c++ {
-		lo, hi := cuts[c], cuts[c+1]
-		tasks = append(tasks, func() {
-			m.MulBlockRows(dst.data, src.data, g, lo, hi)
-		})
-	}
-	parallel.Do(tasks...)
+	p := newSweepPlan(m, src.g, workers, false, false)
+	p.Step(dst, src, 0, nil, nil, nil)
 }
 
 // mulBlockTRange scatters rows [lo, hi) of src through Mᵀ into dst,
@@ -275,9 +234,8 @@ func mulBlockTRange(m *CSR, dst, src []float64, g, lo, hi int) {
 // one worker). Column j of the result is bitwise equal to the g = 1 call
 // on column j at the same workers value. Because the fan-out decision
 // changes the reduction order, the grain policy is nnz alone, not nnz·g,
-// so every g partitions alike.
-//
-//numerics:order-invariant fanout=rowCuts the gather folds the rowCuts partition in worker order for every g alike, keeping each column bitwise equal to the g = 1 product at a fixed workers value
+// so every g partitions alike. The partitioned route is one step of a
+// forward SweepPlan.
 func (m *CSR) MulBlockTPar(dst, src *Block, workers int) {
 	if dst.n != m.n || src.n != m.n || dst.g != src.g {
 		//lint:ignore bannedcall dimension mismatch is a programmer error on the hottest kernel; an error return would tax every caller
@@ -289,33 +247,9 @@ func (m *CSR) MulBlockTPar(dst, src *Block, workers int) {
 		mulBlockTRange(m, dst.data, src.data, g, 0, m.n)
 		return
 	}
-	cuts := m.rowCuts(w)
-	nParts := len(cuts) - 1
-	bufs := make([][]float64, nParts)
-	scatter := make([]func(), 0, nParts)
-	for c := 0; c < nParts; c++ {
-		c := c
-		lo, hi := cuts[c], cuts[c+1]
-		scatter = append(scatter, func() {
-			buf := scatters.get(m.n * g)
-			mulBlockTRange(m, buf, src.data, g, lo, hi)
-			bufs[c] = buf
-		})
-	}
-	parallel.Do(scatter...)
-	out := dst.data
-	parallel.For(w, m.n*g, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			var s float64
-			for _, buf := range bufs {
-				s += buf[e]
-			}
-			out[e] = s
-		}
-	})
-	for _, buf := range bufs {
-		scatters.put(buf)
-	}
+	p := NewSweepPlan(m, g, workers, true)
+	p.Step(dst, src, 0, nil, nil, nil)
+	p.Release()
 }
 
 // resolveWorkers applies the shared fan-out policy of the parallel

@@ -1,6 +1,10 @@
 package sparse
 
-import "github.com/performability/csrl/internal/parallel"
+import (
+	"math"
+
+	"github.com/performability/csrl/internal/parallel"
+)
 
 // The vector kernels below are the reference the block kernels are pinned
 // against, kept here as test oracles: the block kernels must reproduce
@@ -80,4 +84,16 @@ func mulVecTPar(m *CSR, dst, x []float64, workers int) {
 // go through the block kernels without a copy.
 func vecBlock(x []float64) *Block {
 	return &Block{n: len(x), g: 1, data: x, slab: x}
+}
+
+// colMaxDiff returns max_i |b[i,j] − o[i,j]| in ascending row order, the
+// separate steady-test pass the fused sweep step replaces.
+func colMaxDiff(b, o *Block, j int) float64 {
+	var mx float64
+	for i := 0; i < b.n; i++ {
+		if d := math.Abs(b.At(i, j) - o.At(i, j)); d > mx {
+			mx = d
+		}
+	}
+	return mx
 }

@@ -1,8 +1,16 @@
 // Package sparse provides compressed sparse row (CSR) matrices and the
 // block kernels used throughout the model checker (a vector is a block of
-// one column). Matrices are square,
-// real-valued and immutable once built; construction goes through either a
-// triplet list or the incremental Builder.
+// one column). Matrices are square, real-valued and immutable once built;
+// construction goes through a triplet list, the incremental Builder, or
+// the RowBuilder for matrices derived row by row from a sorted CSR.
+//
+// A uniformisation sweep runs through a SweepPlan, built once per sweep:
+// each step is one parallel kernel call that computes the product, the
+// Poisson accumulate and the steady-state test in a single pass over the
+// rows, and a backward plan leaves the fixed rows (lone unit diagonals,
+// the absorbing states) out of the product. Every kernel keeps each
+// column bitwise equal to the sequential vector product; see DESIGN.md
+// "Multi-vector kernels".
 package sparse
 
 import (

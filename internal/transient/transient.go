@@ -185,16 +185,19 @@ func (o Options) poissonWeights(q, fgEps float64) (*numeric.PoissonWeights, erro
 // vₙ₊₁ = vₙ·P (forward = true), advancing all of them through each matrix
 // pass as one n×g block — one read of the matrix per step instead of g.
 // It returns the accumulators and the number of block matrix passes
-// applied. Column j of the outcome is bitwise equal to the sweep of vs[j]
-// alone: the block kernels keep the per-column arithmetic order of the
-// vector product (MulBlockPar exactly, MulBlockTPar at the same workers
-// value), the accumulator updates visit rows in ascending order like
-// AXPY, and steady-state detection runs per column with the identical
-// ColMaxDiff/δ test. A column that converges is charged its Poisson tail
-// and then compacted out of the block, which cannot disturb the
-// surviving columns because every block element accumulates only its own
-// column's products. At g = 1 the kernels and the column helpers take
-// their register and whole-slab specialisations.
+// applied. Each step is one sparse.SweepPlan step: the product, the
+// accumulate of the current iterate (inside the Fox–Glynn window) and the
+// per-column steady-test differences in one pass, with the fixed rows of
+// a backward sweep left out of the product. Column j of the outcome is
+// bitwise equal to the sweep of vs[j] alone: the plan keeps the
+// per-column arithmetic order of the vector product (exactly backward,
+// at the same workers value forward), every accumulator element gets the
+// AXPY expression, and steady-state detection runs per column with the
+// identical max|next − cur| < δ test. A column that converges is charged
+// its Poisson tail and then compacted out of the block, which cannot
+// disturb the surviving columns because every block element accumulates
+// only its own column's products. At g = 1 the plan and the column
+// helpers take their register and whole-slab specialisations.
 //
 // Steady-state detection: P is stochastic, so the iteration is
 // non-expansive in the ∞-norm. Once one application moves the iterate by
@@ -214,11 +217,14 @@ func sweep(p *sparse.CSR, vs [][]float64, w *numeric.PoissonWeights, q float64, 
 	n := p.Dim()
 	g := len(vs)
 	pool := opts.Pool
+	plan := sparse.NewSweepPlan(p, g, opts.Workers, forward)
+	defer plan.Release()
 	cur := sparse.NewBlock(n, g, pool)
 	for j, v := range vs {
 		cur.SetCol(j, v)
 	}
 	next := sparse.NewBlock(n, g, pool)
+	plan.Seed(cur, next)
 	accs := make([][]float64, g)
 	for j := range accs {
 		accs[j] = pool.Get(n)
@@ -229,24 +235,26 @@ func sweep(p *sparse.CSR, vs [][]float64, w *numeric.PoissonWeights, q float64, 
 	for j := range active {
 		active[j] = j
 	}
+	diffs := make([]float64, g)
 	detect := opts.SteadyDetect.enabled()
 	_, steadyEps, _ := opts.budgetSplit(false)
 	delta := steadyEps / q
 	products := 0
 	for step := 0; step <= w.Right && len(active) > 0; step++ {
-		if step >= w.Left {
+		if step == w.Right {
 			for c, j := range active {
 				cur.ColAXPY(w.Weight(step), c, accs[j])
 			}
-		}
-		if step == w.Right {
 			break
 		}
-		if forward {
-			p.MulBlockTPar(next, cur, opts.Workers) // row vectors: next = cur·P
-		} else {
-			p.MulBlockPar(next, cur, opts.Workers) // column vectors: next = P·cur
+		// One pass: next = P·cur (column vectors) or cur·P (row vectors),
+		// the accumulate of cur once inside the window, and the per-column
+		// steady-test differences.
+		var stepAccs [][]float64
+		if step >= w.Left {
+			stepAccs = accs
 		}
+		plan.Step(next, cur, w.Weight(step), stepAccs, active, diffs)
 		products++
 		if detect {
 			// tail and kSum depend only on the step, so one computation
@@ -254,7 +262,7 @@ func sweep(p *sparse.CSR, vs [][]float64, w *numeric.PoissonWeights, q float64, 
 			tailDone := false
 			var tail, kSum float64
 			for c := len(active) - 1; c >= 0; c-- {
-				diff := next.ColMaxDiff(cur, c)
+				diff := diffs[c]
 				if diff >= delta {
 					continue
 				}
