@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-github lint-consistency lint-dataflow bench-smoke bench-test bench-check serve-smoke fmt vet
+.PHONY: all build test race lint lint-github lint-consistency lint-dataflow bench-smoke bench-test serve-smoke fmt vet
 
 all: build lint test
 
@@ -38,32 +38,12 @@ lint-dataflow:
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x . ./internal/lump ./internal/sparse ./internal/transient
-	$(GO) run ./cmd/perfbench -compare
-	$(GO) run ./cmd/perfbench -json BENCH_PR7.json -workers-sweep
-	$(GO) run ./cmd/mrmlint -bench-json BENCH_PR8.json ./...
-	$(GO) run ./cmd/perfbench -scale-json BENCH_PR9.json
 
 # The end-to-end benchmark's own tests (bench/, a module of its own): every
 # BENCHMARK.json workload runs briefly, traced and untraced, and the
 # metric names, units and the trace.coverage gate are checked (~30 s).
 bench-test:
 	cd bench && $(GO) test .
-
-# Compare a fresh benchmark run against the committed performance trail;
-# exits non-zero on >20% time or >10% allocation regressions, and refuses
-# outright when the baseline was recorded on a different CPU count
-# (baselines are per machine class — regenerate with bench-smoke).
-# The lint leg re-times cold vs warm into a scratch file (the committed
-# BENCH_PR8.json is the recorded trail) and fails when the warm cached
-# run is not at least twice as fast as cold or replay diverges.
-# The scale leg validates the committed BENCH_PR9.json invariants (≥10^5
-# states, ≥5× truncated speedup, truncation budget ≤ ε), re-proves the
-# budget live on a smaller cluster instance, and gates the automatic lump
-# pre-pass against noise on the 9-state seed model.
-bench-check:
-	$(GO) run ./cmd/perfbench -baseline BENCH_PR7.json -workers-sweep
-	$(GO) run ./cmd/mrmlint -bench-json /tmp/mrmlint-bench-check.json ./...
-	$(GO) run ./cmd/perfbench -scale-check BENCH_PR9.json
 
 # The service acceptance smoke: an in-process csrld on a real listener,
 # station model uploaded over HTTP, 8 concurrent queries fired twice.

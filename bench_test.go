@@ -26,7 +26,6 @@ import (
 	"github.com/performability/csrl/internal/numeric"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/sim"
-	"github.com/performability/csrl/internal/sparse"
 	"github.com/performability/csrl/internal/srn"
 	"github.com/performability/csrl/internal/transient"
 )
@@ -234,8 +233,7 @@ func BenchmarkRectangleUntil(b *testing.B) {
 // BenchmarkParallelWorkers is the sequential-vs-parallel pair for the P3
 // procedures' parallel engine: each sub-benchmark runs the same workload
 // with Workers: 1 (the exact legacy path) and Workers: 0 (all CPUs). On a
-// single-core machine the pair should be a wash; the speedup column of
-// `perfbench -compare` reports the same contrast with wall-clock times.
+// single-core machine the pair should be a wash.
 func BenchmarkParallelWorkers(b *testing.B) {
 	m, goal, _ := q3Setup(b)
 	for _, bench := range []struct {
@@ -339,99 +337,6 @@ func BenchmarkAblationBackwardVsForwardUntil(b *testing.B) {
 				}
 				var v float64
 				psi.Each(func(j int) { v += pi[j] })
-			}
-		}
-	})
-}
-
-// BenchmarkAblationSparseVsDenseMatVec measures the sparse CSR
-// matrix-vector product (the block kernel at g = 1, one worker) against a
-// dense row-major product on the Erlang
-// expansion of the case study (5·256+1 states), the largest matrix the
-// paper's evaluation touches.
-func BenchmarkAblationSparseVsDenseMatVec(b *testing.B) {
-	red, err := adhoc.Q3Reduced()
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := erlang.Expand(red.Model, adhoc.Q3PaperRewardBound, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := e.Model.Uniformised(e.Model.UniformisationRate())
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := p.Dim()
-	xb := sparse.NewBlock(n, 1, nil)
-	yb := sparse.NewBlock(n, 1, nil)
-	x, y := xb.Data(), yb.Data()
-	for i := range x {
-		x[i] = 1 / float64(n)
-	}
-	b.Run("sparse-csr", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.MulBlockPar(yb, xb, 1)
-		}
-	})
-	dense := make([][]float64, n)
-	for r := range dense {
-		dense[r] = make([]float64, n)
-	}
-	p.Each(func(r, c int, v float64) { dense[r][c] = v })
-	b.Run("dense", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < n; r++ {
-				var s float64
-				row := dense[r]
-				for c, v := range row {
-					s += v * x[c]
-				}
-				y[r] = s
-			}
-		}
-	})
-}
-
-// BenchmarkAblationSolvers compares Gauss–Seidel and Jacobi on the
-// unbounded-until linear system of the reduced model (tiny here, but the
-// ratio is the point).
-func BenchmarkAblationSolvers(b *testing.B) {
-	// A random-walk system large enough to show iteration behaviour.
-	const n = 500
-	builder := sparse.NewBuilder(n)
-	rhs := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			builder.Add(i, i-1, 0.45)
-		}
-		if i < n-1 {
-			builder.Add(i, i+1, 0.45)
-		} else {
-			rhs[i] = 0.45
-		}
-	}
-	a, err := builder.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := numeric.DefaultSolveOptions()
-	opts.Tolerance = 1e-10
-	b.Run("gauss-seidel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := numeric.SolveGaussSeidel(a, rhs, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("jacobi", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := numeric.SolveJacobi(a, rhs, opts); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

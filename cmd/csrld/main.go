@@ -88,6 +88,9 @@ func run(args []string, out io.Writer) (int, error) {
 	if !(*truncate >= 0) || math.IsInf(*truncate, 1) {
 		return 1, fmt.Errorf("-truncate must be a finite mass >= 0 (0 = off), got %v", *truncate)
 	}
+	if !(*d >= 0) || math.IsInf(*d, 1) {
+		return 1, fmt.Errorf("-d must be a finite step >= 0 (0 = automatic), got %v", *d)
+	}
 
 	opts := core.DefaultOptions()
 	opts.Epsilon = *epsilon

@@ -63,6 +63,19 @@ func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidStep pins the -d validation: a negative or
+// non-finite discretisation step is refused at startup with an error
+// naming the flag.
+func TestRunRejectsInvalidStep(t *testing.T) {
+	for _, v := range []string{"-1", "NaN", "Inf"} {
+		var out bytes.Buffer
+		code, err := run([]string{"-d", v, "-smoke"}, &out)
+		if code != 1 || err == nil || !strings.Contains(err.Error(), "-d") {
+			t.Errorf("-d %s: code %d err %v, want 1 and an error naming the flag", v, code, err)
+		}
+	}
+}
+
 func TestRunRejectsInvalidTruncate(t *testing.T) {
 	for _, v := range []string{"-1", "NaN", "Inf"} {
 		var out bytes.Buffer

@@ -191,8 +191,7 @@ func TestCacheCorruptEntryIsCold(t *testing.T) {
 }
 
 // BenchmarkLintModule times the real module, cold (fresh cache every
-// iteration) versus warm (primed cache). The committed BENCH_PR8.json
-// ratio comes from `mrmlint -bench-json`, which wraps the same pipeline.
+// iteration) versus warm (primed cache).
 func BenchmarkLintModule(b *testing.B) {
 	loader, err := lint.NewLoader(".")
 	if err != nil {

@@ -44,10 +44,9 @@ func run(stdout, stderr io.Writer, args []string) int {
 		ghMode   = fs.Bool("github", false, "emit GitHub Actions ::error annotations")
 		useCache = fs.Bool("cache", false, "reuse per-package results from the incremental cache")
 		cacheDir = fs.String("cache-dir", ".mrmlint-cache", "cache directory (relative paths resolve against the module root)")
-		benchOut = fs.String("bench-json", "", "time a cold vs warm cached run, write the report to this file and gate on warm < 50% of cold")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: mrmlint [-list] [-enable=a,b] [-disable=a,b] [-json|-github] [-cache [-cache-dir=d]] [-bench-json=f] [packages]")
+		fmt.Fprintln(stderr, "usage: mrmlint [-list] [-enable=a,b] [-disable=a,b] [-json|-github] [-cache [-cache-dir=d]] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -76,9 +75,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "mrmlint:", err)
 		return 2
-	}
-	if *benchOut != "" {
-		return runLintBench(stderr, *benchOut, cwd, patterns, analyzers)
 	}
 	mode := emitPlain
 	switch {

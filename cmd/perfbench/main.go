@@ -19,8 +19,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"github.com/performability/csrl/internal/adhoc"
@@ -30,7 +30,6 @@ import (
 	"github.com/performability/csrl/internal/logic"
 	"github.com/performability/csrl/internal/modelfile"
 	"github.com/performability/csrl/internal/mrm"
-	"github.com/performability/csrl/internal/parallel"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/sim"
 	"github.com/performability/csrl/internal/srn"
@@ -47,23 +46,16 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
 	var (
-		table    = fs.Int("table", 0, "regenerate table 1-4")
-		figure   = fs.Int("figure", 0, "regenerate figure 1-2")
-		q        = fs.Int("q", 0, "check property Q1-Q3")
-		all      = fs.Bool("all", false, "regenerate everything")
-		rBound   = fs.Float64("r", adhoc.Q3PaperRewardBound, "reward bound for the Q3 path formula (mAh)")
-		tBound   = fs.Float64("t", adhoc.Q3TimeBound, "time bound for the Q3 path formula (hours)")
-		paths    = fs.Int("paths", 5, "trajectories for -figure 1")
-		seed     = fs.Int64("seed", 1, "simulation seed")
-		dump     = fs.String("dump-model", "", "write the case-study MRM as JSON to this path and exit")
-		workers  = fs.Int("workers", 0, "worker goroutines for the numerical procedures (0 = all CPUs, 1 = sequential)")
-		compare  = fs.Bool("compare", false, "time one workload sequentially and in parallel and report the speedup")
-		jsonPath = fs.String("json", "", "run the benchmark matrix and write a BENCH_PR7.json-style report to this path")
-		baseline = fs.String("baseline", "", "compare the benchmark matrix against this stored report; exit non-zero on >20% time or >10% alloc regressions")
-		wkSweep  = fs.Bool("workers-sweep", false, "with -json/-baseline: additionally time the sweep matrix at Workers ∈ {1,2,4,8} so the report carries speedup curves (num_cpu is stamped)")
-		scPath   = fs.String("scale-json", "", "run the cluster scale sweep (dense vs truncated check past 10^5 states) and write a BENCH_PR9.json-style record to this path")
-		scCheck  = fs.String("scale-check", "", "validate this stored scale record, re-prove the truncation budget on a smaller instance, and gate the lump pre-pass on the seed model")
-		scN      = fs.Int("scale-n", scaleN, "workstations per side for -scale-json (2·(n+1)² states)")
+		table   = fs.Int("table", 0, "regenerate table 1-4")
+		figure  = fs.Int("figure", 0, "regenerate figure 1-2")
+		q       = fs.Int("q", 0, "check property Q1-Q3")
+		all     = fs.Bool("all", false, "regenerate everything")
+		rBound  = fs.Float64("r", adhoc.Q3PaperRewardBound, "reward bound for the Q3 path formula (mAh)")
+		tBound  = fs.Float64("t", adhoc.Q3TimeBound, "time bound for the Q3 path formula (hours)")
+		paths   = fs.Int("paths", 5, "trajectories for -figure 1")
+		seed    = fs.Int64("seed", 1, "simulation seed")
+		dump    = fs.String("dump-model", "", "write the case-study MRM as JSON to this path and exit")
+		workers = fs.Int("workers", 0, "worker goroutines for the numerical procedures (0 = all CPUs, 1 = sequential)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,15 +63,25 @@ func run(args []string, w io.Writer) error {
 	if *dump != "" {
 		return dumpModel(w, *dump)
 	}
-	if *scPath != "" {
-		return scaleJSON(w, *scPath, *scN, *workers)
-	}
-	if *scCheck != "" {
-		return scaleCheck(w, *scCheck, *workers)
-	}
-	if !*all && !*compare && *table == 0 && *figure == 0 && *q == 0 && *jsonPath == "" && *baseline == "" {
+	if !*all && *table == 0 && *figure == 0 && *q == 0 {
 		fs.Usage()
-		return fmt.Errorf("nothing to do: pass -table, -figure, -q, -compare, -json, -baseline, -scale-json, -scale-check or -all")
+		return fmt.Errorf("nothing to do: pass -table, -figure, -q or -all")
+	}
+	for _, sel := range []struct {
+		name     string
+		val, max int
+	}{{"table", *table, 4}, {"figure", *figure, 2}, {"q", *q, 3}} {
+		if sel.val < 0 || sel.val > sel.max {
+			return fmt.Errorf("-%s %d out of range 1-%d", sel.name, sel.val, sel.max)
+		}
+	}
+	for _, b := range []struct {
+		name string
+		val  float64
+	}{{"r", *rBound}, {"t", *tBound}} {
+		if !(b.val > 0) || math.IsInf(b.val, 1) {
+			return fmt.Errorf("-%s must be a finite bound > 0, got %v", b.name, b.val)
+		}
 	}
 
 	red, err := adhoc.Q3Reduced()
@@ -88,17 +90,6 @@ func run(args []string, w io.Writer) error {
 	}
 	goal := red.Model.Label("goal")
 	init := red.Model.InitialState()
-
-	if *compare {
-		if err := compareWorkload(w, red.Model, goal, *workers); err != nil {
-			return err
-		}
-	}
-	if *jsonPath != "" || *baseline != "" {
-		if err := benchJSON(w, red.Model, goal, *jsonPath, *baseline, *workers, *wkSweep); err != nil {
-			return err
-		}
-	}
 
 	do := func(n int, sel *int, fn func() error) error {
 		if *all || *sel == n {
@@ -330,49 +321,6 @@ func dumpModel(w io.Writer, path string) error {
 		return err
 	}
 	fmt.Fprintf(w, "wrote the 9-state case-study MRM to %s\n", path)
-	return nil
-}
-
-// compareWorkload times one representative P3 workload — the Tijms–Veldman
-// ReachProbAll on the Q3 reduction, whose |S| independent runs are the
-// archetypal embarrassingly-parallel hot path — once with Workers: 1 and
-// once with the requested parallelism, and reports both times, the
-// speedup, and the largest per-state deviation between the two results.
-func compareWorkload(w io.Writer, m *mrm.MRM, goal *mrm.StateSet, workers int) error {
-	eff := parallel.Resolve(workers)
-	if workers == 1 {
-		eff = parallel.Resolve(0) // comparing 1 vs 1 would be pointless
-	}
-	// Shorter bounds than Table 4 keep the smoke run quick; the code path
-	// is identical to the full workload.
-	const tb, rb, d = 6.0, 150.0, 1.0 / 64
-	opts := discretise.Options{D: d, Workers: 1}
-	start := time.Now()
-	seq, err := discretise.ReachProbAll(m, goal, tb, rb, opts)
-	if err != nil {
-		return err
-	}
-	seqTime := time.Since(start)
-	opts.Workers = eff
-	start = time.Now()
-	par, err := discretise.ReachProbAll(m, goal, tb, rb, opts)
-	if err != nil {
-		return err
-	}
-	parTime := time.Since(start)
-	var maxDiff float64
-	for s := range par {
-		if diff := abs(par[s] - seq[s]); diff > maxDiff {
-			maxDiff = diff
-		}
-	}
-	fmt.Fprintf(w, "Sequential/parallel comparison: discretisation ReachProbAll (t=%g, r=%g, d=1/%d, %d states)\n\n", tb, rb, int(1/d), m.N())
-	fmt.Fprintf(w, "  workers=1:  %v\n", seqTime.Round(time.Millisecond))
-	fmt.Fprintf(w, "  workers=%d:  %v\n", eff, parTime.Round(time.Millisecond))
-	if parTime > 0 {
-		fmt.Fprintf(w, "  speedup:    %.2fx on %d CPU(s)\n", float64(seqTime)/float64(parTime), runtime.NumCPU())
-	}
-	fmt.Fprintf(w, "  max |Δ|:    %.3g\n\n", maxDiff)
 	return nil
 }
 

@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"github.com/performability/csrl/internal/adhoc"
 )
 
 func TestTable1Static(t *testing.T) {
@@ -92,113 +89,31 @@ func TestDumpModelRoundTrips(t *testing.T) {
 	}
 }
 
-// TestCollectStatsDeterministic pins the observability workload of the
-// -json report: the first Q3 evaluation must prove its error budget, the
-// repeats must hit the memo, and the whole record must be reproducible
-// run to run (it is compared against a stored baseline in CI).
-func TestCollectStatsDeterministic(t *testing.T) {
-	st, err := collectStats(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.BudgetOK || st.BudgetTotal <= 0 {
-		t.Errorf("first evaluation must ledger a positive budget within eps: %+v", st)
-	}
-	if st.MemoMisses == 0 || st.MemoHits == 0 {
-		t.Errorf("stats workload must both miss (run 1) and hit (runs 2-3) the memo: %+v", st)
-	}
-	// Runs 2 and 3 replay every lookup run 1 missed, so at least 2/3 of
-	// all lookups hit.
-	if st.MemoHitRate < 0.6 {
-		t.Errorf("memo hit-rate %.3f below the structural floor 2/3", st.MemoHitRate)
-	}
-	again, err := collectStats(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *st != *again {
-		t.Errorf("stats workload not deterministic:\n  %+v\n  %+v", st, again)
-	}
-}
-
-// TestBaselineStatsGuards exercises the -baseline memo hit-rate and
-// budget guards on hand-built reports (no benchmarking involved).
-func TestBaselineStatsGuards(t *testing.T) {
-	writeBase := func(t *testing.T, rep benchReport) string {
-		t.Helper()
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "base.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	base := writeBase(t, benchReport{Stats: &benchStats{MemoHitRate: 0.8, BudgetOK: true}})
-
-	var out bytes.Buffer
-	fresh := benchReport{Stats: &benchStats{MemoHitRate: 0.79, BudgetOK: true}}
-	if err := compareBaseline(&out, fresh, base); err != nil {
-		t.Errorf("hit-rate drop within slack must pass: %v", err)
-	}
-	fresh.Stats.MemoHitRate = 0.5
-	if err := compareBaseline(&out, fresh, base); err == nil {
-		t.Error("hit-rate drop beyond slack must fail")
-	}
-	fresh.Stats.MemoHitRate = 0.8
-	fresh.Stats.BudgetOK = false
-	if err := compareBaseline(&out, fresh, base); err == nil {
-		t.Error("losing the budget proof must fail")
-	}
-}
-
-// TestBaselineRefusesCPUMismatch pins the per-CPU-count baseline rule:
-// comparing a report against a baseline recorded on a machine with a
-// different core count must fail up front with an error naming both
-// counts, before any record-level comparison happens.
-func TestBaselineRefusesCPUMismatch(t *testing.T) {
-	data, err := json.Marshal(benchReport{NumCPU: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	err = compareBaseline(&out, benchReport{NumCPU: 8}, path)
-	if err == nil {
-		t.Fatal("num_cpu mismatch must refuse the comparison")
-	}
-	for _, want := range []string{"num_cpu=4", "num_cpu=8", "per CPU count"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("mismatch error missing %q: %v", want, err)
-		}
-	}
-}
-
-// TestCollectBlockStats pins the matrix-pass contrast that motivates the
-// multi-vector kernels: with detection off both counts are structural, so
-// the vector path must cost exactly g block passes.
-func TestCollectBlockStats(t *testing.T) {
-	red, err := adhoc.Q3Reduced()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := collectBlockStats(red.Model, red.Model.Label("goal"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PassesBlock == 0 || st.PassesVector != int64(st.G)*st.PassesBlock {
-		t.Errorf("structural pass counts off: %+v (want vector = g×block)", st)
-	}
-}
-
 func TestNoActionIsAnError(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(nil, &out); err == nil {
 		t.Error("empty invocation should fail with usage")
+	}
+}
+
+// TestOutOfRangeSelectionIsAnError pins that a selector naming no table,
+// figure or property, or a bound that is not a finite positive number,
+// fails up front instead of printing nothing and exiting cleanly.
+func TestOutOfRangeSelectionIsAnError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-table", "7"}, {"-table", "-1"},
+		{"-figure", "3"},
+		{"-q", "4"}, {"-q", "0", "-table", "5"},
+		{"-table", "2", "-r", "0"}, {"-table", "2", "-r", "-550"},
+		{"-table", "2", "-r", "NaN"}, {"-table", "2", "-r", "+Inf"},
+		{"-q", "3", "-t", "0"}, {"-q", "3", "-t", "NaN"}, {"-all", "-t", "Inf"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Errorf("%v: accepted, want an error", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed %q before failing", args, out.String())
+		}
 	}
 }

@@ -134,9 +134,6 @@ type Options struct {
 	// NaN — leaves truncation off and keeps every result bitwise
 	// unchanged.
 	Truncate float64
-	// Solve configures the linear solver for unbounded until and
-	// steady-state computations.
-	Solve numeric.SolveOptions
 	// Obs, when non-nil, collects the numerics-observability signals of
 	// every procedure the checker runs: the error-budget ledger (Fox–Glynn
 	// truncation masses, steady-detection tail charges, Sericola series
@@ -152,7 +149,6 @@ func DefaultOptions() Options {
 		P3:      AlgSericola,
 		Epsilon: 1e-9,
 		ErlangK: 256,
-		Solve:   numeric.DefaultSolveOptions(),
 	}
 }
 
@@ -955,7 +951,7 @@ func (c *Checker) untilUnbounded(phi, psi *mrm.StateSet) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: until system: %w", err)
 	}
-	sol, err := numeric.SolveGaussSeidel(a, b, c.opts.Solve)
+	sol, err := numeric.SolveGaussSeidel(a, b, numeric.DefaultSolveOptions())
 	if err != nil {
 		return nil, fmt.Errorf("core: until solve: %w", err)
 	}

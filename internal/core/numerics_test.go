@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/performability/csrl/internal/adhoc"
 	"github.com/performability/csrl/internal/logic"
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/obs"
@@ -121,5 +122,51 @@ func TestNumericsReportProvesBudget(t *testing.T) {
 	// A checker without a recorder reports nil — the disabled fast path.
 	if r := New(tinyModel(t), DefaultOptions()).NumericsReport(); r != nil {
 		t.Errorf("nil-Obs checker must report nil, got %+v", r)
+	}
+}
+
+// TestRecordedQ3StatsDeterministic pins the observability contract of one
+// recorded checker evaluating the paper's Q3 query three times: the first
+// evaluation proves a positive error budget within ε, the repeats replay
+// every lookup the first one missed (so at least 2/3 of all memo lookups
+// hit), and the memo and pool counters are identical run to run.
+func TestRecordedQ3StatsDeterministic(t *testing.T) {
+	type stats struct {
+		hits, misses, gets, reuses float64
+	}
+	run := func() stats {
+		m, err := adhoc.Model()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.Workers = 1
+		opts.Obs = obs.New()
+		c := New(m, opts)
+		f := logic.MustParse("P=? [ (call_idle | doze) U{t<=24, r<=600} call_initiated ]")
+		for i := 0; i < 3; i++ {
+			if _, err := c.Values(f); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				rep := c.NumericsReport()
+				if !rep.BudgetOK || rep.BudgetTotal <= 0 {
+					t.Errorf("first evaluation must ledger a positive budget within eps: total %g ok %v", rep.BudgetTotal, rep.BudgetOK)
+				}
+			}
+		}
+		g := c.NumericsReport().Gauges
+		return stats{g["memo.hits"], g["memo.misses"], g["pool.gets"], g["pool.reuses"]}
+	}
+	st := run()
+	if st.hits == 0 || st.misses == 0 {
+		t.Errorf("the workload must both miss (run 1) and hit (runs 2-3) the memo: %+v", st)
+	}
+	// hits/(hits+misses) ≥ 2/3, in exact integer form.
+	if st.hits < 2*st.misses {
+		t.Errorf("memo hit-rate %.3f below the structural floor 2/3", st.hits/(st.hits+st.misses))
+	}
+	if again := run(); again != st {
+		t.Errorf("recorded workload not deterministic:\n  %+v\n  %+v", st, again)
 	}
 }

@@ -40,7 +40,7 @@ func Expand(m *mrm.MRM, r float64, k int) (*Expansion, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("erlang: phase count k=%d must be ≥ 1", k)
 	}
-	if r <= 0 {
+	if !(r > 0) { // NaN included: its phase rate k/r would be NaN
 		return nil, fmt.Errorf("erlang: reward bound r=%v must be positive", r)
 	}
 	if m.HasImpulses() {

@@ -64,6 +64,9 @@ func TestExpandValidation(t *testing.T) {
 	if _, err := Expand(m, 0, 4); err == nil {
 		t.Error("r=0 accepted")
 	}
+	if _, err := ReachProbAll(m, m.Label("goal"), 1, math.NaN(), Options{K: 4}); err == nil {
+		t.Error("r=NaN accepted")
+	}
 	if _, err := ReachProbAll(m, mrm.NewStateSet(3), 1, 1, Options{K: 2}); err == nil {
 		t.Error("universe mismatch accepted")
 	}

@@ -81,47 +81,6 @@ func SolveGaussSeidel(a *sparse.CSR, b []float64, opts SolveOptions) ([]float64,
 	return nil, fmt.Errorf("%w: Gauss-Seidel after %d iterations", ErrNoConvergence, opts.MaxIterations)
 }
 
-// SolveJacobi solves (I - A)·x = b by Jacobi iteration. Slower than
-// Gauss–Seidel but embarrassingly simple; kept for cross-checking and as an
-// ablation baseline.
-func SolveJacobi(a *sparse.CSR, b []float64, opts SolveOptions) ([]float64, error) {
-	n := a.Dim()
-	if len(b) != n {
-		return nil, fmt.Errorf("numeric: rhs length %d for %d×%d system", len(b), n, n)
-	}
-	if opts.Tolerance <= 0 {
-		opts.Tolerance = 1e-12
-	}
-	if opts.MaxIterations <= 0 {
-		opts.MaxIterations = 200_000
-	}
-	x := make([]float64, n)
-	next := make([]float64, n)
-	for iter := 0; iter < opts.MaxIterations; iter++ {
-		for i := 0; i < n; i++ {
-			var sum, diag float64
-			a.Row(i, func(j int, v float64) {
-				if j == i {
-					diag = v
-					return
-				}
-				sum += v * x[j]
-			})
-			denom := 1 - diag
-			if denom <= 0 {
-				next[i] = x[i]
-				continue
-			}
-			next[i] = (b[i] + sum) / denom
-		}
-		if sparse.MaxDiff(x, next) < opts.Tolerance {
-			return next, nil
-		}
-		x, next = next, x
-	}
-	return nil, fmt.Errorf("%w: Jacobi after %d iterations", ErrNoConvergence, opts.MaxIterations)
-}
-
 // GaussianEliminate solves the dense linear system M·x = rhs by Gaussian
 // elimination with partial pivoting. Used for small systems (stationary
 // distributions of BSCCs) where direct solution beats iteration.

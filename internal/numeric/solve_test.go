@@ -50,7 +50,9 @@ func TestSolveGaussSeidelGamblersRuin(t *testing.T) {
 	}
 }
 
-func TestJacobiMatchesGaussSeidel(t *testing.T) {
+// TestGaussSeidelMatchesGaussianEliminate judges the iterative solver
+// against the direct one on random well-posed systems (I - A)·x = b.
+func TestGaussSeidelMatchesGaussianEliminate(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(6)
@@ -74,8 +76,15 @@ func TestJacobiMatchesGaussSeidel(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		dense := make([][]float64, n)
+		for i := range dense {
+			dense[i] = make([]float64, n)
+			dense[i][i] = 1
+		}
+		a.Each(func(i, j int, v float64) { dense[i][j] -= v })
+		rhs := append([]float64(nil), b...)
 		x1, err1 := SolveGaussSeidel(a, b, DefaultSolveOptions())
-		x2, err2 := SolveJacobi(a, b, DefaultSolveOptions())
+		x2, err2 := GaussianEliminate(dense, rhs)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -90,9 +99,6 @@ func TestSolveRejectsBadRHS(t *testing.T) {
 	a := mustCSR(t, 2, nil)
 	if _, err := SolveGaussSeidel(a, []float64{1}, DefaultSolveOptions()); err == nil {
 		t.Error("length mismatch accepted by Gauss-Seidel")
-	}
-	if _, err := SolveJacobi(a, []float64{1}, DefaultSolveOptions()); err == nil {
-		t.Error("length mismatch accepted by Jacobi")
 	}
 }
 
@@ -120,23 +126,18 @@ func TestSolveToleranceDefaults(t *testing.T) {
 	b := []float64{0.5, 0.5}
 	want := []float64{1, 1} // x = 0.5x' + 0.5 with symmetry → x = 1
 	for _, tol := range []float64{0, -1, math.Inf(-1)} {
-		for name, solve := range map[string]func(*sparse.CSR, []float64, SolveOptions) ([]float64, error){
-			"GaussSeidel": SolveGaussSeidel,
-			"Jacobi":      SolveJacobi,
-		} {
-			x, err := solve(a, b, SolveOptions{Tolerance: tol})
-			if err != nil {
-				t.Fatalf("%s tol=%v: %v", name, tol, err)
-			}
-			if sparse.MaxDiff(x, want) > 1e-9 {
-				t.Errorf("%s tol=%v: x = %v, want %v", name, tol, x, want)
-			}
+		x, err := SolveGaussSeidel(a, b, SolveOptions{Tolerance: tol})
+		if err != nil {
+			t.Fatalf("tol=%v: %v", tol, err)
+		}
+		if sparse.MaxDiff(x, want) > 1e-9 {
+			t.Errorf("tol=%v: x = %v, want %v", tol, x, want)
 		}
 	}
 }
 
 func TestSolveIterationCap(t *testing.T) {
-	// Both solvers must surface ErrNoConvergence (wrapped, so errors.Is)
+	// The solver must surface ErrNoConvergence (wrapped, so errors.Is)
 	// when the cap is too small, rather than returning the stale iterate.
 	a := mustCSR(t, 2, []sparse.Triplet{
 		{Row: 0, Col: 1, Val: 0.999999},
@@ -144,10 +145,7 @@ func TestSolveIterationCap(t *testing.T) {
 	})
 	opts := SolveOptions{Tolerance: 1e-15, MaxIterations: 2}
 	if _, err := SolveGaussSeidel(a, []float64{1, 1}, opts); !errors.Is(err, ErrNoConvergence) {
-		t.Errorf("Gauss-Seidel: want ErrNoConvergence, got %v", err)
-	}
-	if _, err := SolveJacobi(a, []float64{1, 1}, opts); !errors.Is(err, ErrNoConvergence) {
-		t.Errorf("Jacobi: want ErrNoConvergence, got %v", err)
+		t.Errorf("want ErrNoConvergence, got %v", err)
 	}
 }
 

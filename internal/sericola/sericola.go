@@ -160,13 +160,15 @@ func ReachProbBatch(m *mrm.MRM, goal *mrm.StateSet, t float64, rs []float64, opt
 	if m.HasImpulses() {
 		return nil, fmt.Errorf("sericola: %w", mrm.ErrImpulsesUnsupported)
 	}
-	for _, r := range rs {
-		if t < 0 || r < 0 {
-			return nil, fmt.Errorf("sericola: negative bound t=%v r=%v", t, r)
-		}
+	// !(x >= 0) also refuses NaN, which every later comparison would
+	// silently route into a NaN result.
+	if !(t >= 0) {
+		return nil, fmt.Errorf("sericola: time bound t=%v must be >= 0", t)
 	}
-	if t < 0 {
-		return nil, fmt.Errorf("sericola: negative bound t=%v", t)
+	for _, r := range rs {
+		if !(r >= 0) {
+			return nil, fmt.Errorf("sericola: reward bound r=%v must be >= 0", r)
+		}
 	}
 	results := make([]*Result, len(rs))
 	if len(rs) == 0 {

@@ -88,6 +88,14 @@ func TestNegativeBoundsRejected(t *testing.T) {
 	if _, err := ReachProbAll(m, m.Label("goal"), 1, -1, Options{}); err == nil {
 		t.Error("negative reward accepted")
 	}
+	// Every comparison with NaN is false: unchecked, a NaN bound slips past
+	// the band classification and comes back as a NaN "probability".
+	if _, err := ReachProbAll(m, m.Label("goal"), math.NaN(), 1, Options{}); err == nil {
+		t.Error("NaN time accepted")
+	}
+	if _, err := ReachProbBatch(m, m.Label("goal"), 1, []float64{1, math.NaN()}, Options{}); err == nil {
+		t.Error("NaN reward accepted")
+	}
 	if _, err := ReachProbAll(m, mrm.NewStateSet(5), 1, 1, Options{}); err == nil {
 		t.Error("universe mismatch accepted")
 	}

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"github.com/performability/csrl/internal/adhoc"
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/obs"
 	"github.com/performability/csrl/internal/sparse"
 )
 
@@ -213,4 +215,43 @@ func TestMultiDegenerateInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitwiseCols(t, "g=1 batch", got[0], want)
+}
+
+// TestBlockSweepCostsOneProductPerStep pins the matrix-pass contrast that
+// motivates the multi-vector kernels, on the paper's Q3 reduction: with
+// steady-state detection off both counts are structural, so g single-vector
+// backward sweeps must cost exactly g times the block sweep's products.
+func TestBlockSweepCostsOneProductPerStep(t *testing.T) {
+	red, err := adhoc.Q3Reduced()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := red.Model
+	n := m.N()
+	vs := make([][]float64, 4)
+	vs[0] = m.Label("goal").Indicator()
+	for j := 1; j < len(vs); j++ {
+		vs[j] = make([]float64, n)
+		for i := range vs[j] {
+			vs[j][i] = float64((i*j+1)%5) / 4
+		}
+	}
+	opts := Options{Epsilon: 1e-12, Workers: 1, SteadyDetect: SteadyOff}
+	products := func(rec *obs.Recorder) int64 { return rec.Report(1e-12).Counters["sweep.products"] }
+
+	opts.Obs = obs.New()
+	if _, err := BackwardWeightedMulti(m, vs, adhoc.Q3TimeBound, opts); err != nil {
+		t.Fatal(err)
+	}
+	block := products(opts.Obs)
+	opts.Obs = obs.New()
+	for _, v := range vs {
+		if _, err := BackwardWeighted(m, v, adhoc.Q3TimeBound, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vector := products(opts.Obs)
+	if block == 0 || vector != int64(len(vs))*block {
+		t.Errorf("sweep.products: block %d, vector %d; want vector = %d × block > 0", block, vector, len(vs))
+	}
 }
