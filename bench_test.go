@@ -102,6 +102,26 @@ func BenchmarkTable4Discretise(b *testing.B) {
 	}
 }
 
+// BenchmarkDiscretiseReachProbAll times the discretisation call the
+// station-p3 workload of bench/ makes for its one Tijms–Veldman check:
+// ReachProbAll at d = 1/32 over the reduced Q3 model, all CPUs. Its
+// per-source fan-out covers the live sources only; the absorbing ones are
+// answered in closed form.
+func BenchmarkDiscretiseReachProbAll(b *testing.B) {
+	m, goal, init := q3Setup(b)
+	b.ReportAllocs()
+	var v float64
+	for i := 0; i < b.N; i++ {
+		vals, err := discretise.ReachProbAll(m, goal, adhoc.Q3TimeBound, adhoc.Q3PaperRewardBound,
+			discretise.Options{D: 1.0 / 32})
+		if err != nil {
+			b.Fatal(err)
+		}
+		v = vals[init]
+	}
+	b.ReportMetric(v, "probability")
+}
+
 // BenchmarkFigure1Simulation regenerates Figure 1's process: Monte-Carlo
 // sampling of the 2-D process (X_t, Y_t) with the absorbing reward barrier.
 func BenchmarkFigure1Simulation(b *testing.B) {

@@ -1250,13 +1250,14 @@ const stepIntTol = 1e-9
 // and silently deriving an absurdly fine grid.
 const maxStepDenominator = 4096
 
-// deriveStep picks a discretisation step d that divides both bounds: the
-// coarsest d = t/a (a ≤ maxStepDenominator) with r/d within stepIntTol of
-// an integer, halved until it clears the stability ceiling 1/(8·max E).
-// Halving preserves divisibility exactly, and the relative tolerance keeps
-// the integrality check meaningful as the quotients grow. When no such
-// step exists — the bounds are not commensurable, e.g. r/t irrational —
-// an explicit error tells the caller to set Options.DiscretiseStep.
+// deriveStep picks a discretisation step d that divides both bounds and
+// every impulse reward: the coarsest d = t/a (a ≤ maxStepDenominator) with
+// r/d and each ι/d within stepIntTol of an integer, halved until it clears
+// the stability ceiling 1/(8·max E). Halving preserves divisibility
+// exactly, and the relative tolerance keeps the integrality check
+// meaningful as the quotients grow. When no such step exists — the
+// quantities are not commensurable, e.g. r/t irrational — an explicit
+// error tells the caller to set Options.DiscretiseStep.
 func deriveStep(m *mrm.MRM, t, r float64) (float64, error) {
 	if t <= 0 || r <= 0 {
 		return 0, fmt.Errorf("core: derive step: bounds t=%v r=%v must be positive", t, r)
@@ -1272,6 +1273,12 @@ func deriveStep(m *mrm.MRM, t, r float64) (float64, error) {
 	}
 	ceiling := 1 / (8 * maxE)
 	ratio := r / t
+	var impulses []float64
+	if imp := m.Impulses(); imp != nil {
+		imp.Each(func(_, _ int, v float64) { impulses = append(impulses, v/t) })
+	}
+	integral := func(q float64) bool { return math.Abs(q-math.Round(q)) <= stepIntTol*(1+q) }
+search:
 	for a := 1; a <= maxStepDenominator; a++ {
 		q := float64(a) * ratio
 		if q < 0.5 {
@@ -1279,8 +1286,13 @@ func deriveStep(m *mrm.MRM, t, r float64) (float64, error) {
 			// bound yet, keep refining.
 			continue
 		}
-		if math.Abs(q-math.Round(q)) > stepIntTol*(1+q) {
+		if !integral(q) {
 			continue
+		}
+		for _, iq := range impulses {
+			if !integral(float64(a) * iq) {
+				continue search
+			}
 		}
 		d := t / float64(a)
 		for d > ceiling {
@@ -1288,5 +1300,5 @@ func deriveStep(m *mrm.MRM, t, r float64) (float64, error) {
 		}
 		return d, nil
 	}
-	return 0, fmt.Errorf("core: no discretisation step divides both t=%v and r=%v (denominators up to %d tried); set Options.DiscretiseStep explicitly", t, r, maxStepDenominator)
+	return 0, fmt.Errorf("core: no discretisation step divides t=%v, r=%v and the impulse rewards (denominators up to %d tried); set Options.DiscretiseStep explicitly", t, r, maxStepDenominator)
 }

@@ -168,3 +168,43 @@ func TestCheckerWorkersEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestDeriveStepImpulses: the derived step must also make every impulse
+// reward a whole number of steps. On this model the bounds alone give
+// d = 1/16, against which ι(0,1) = 0.3 is 4.8 steps, and the check used to
+// fail with discretise.ErrRewards although d = 0.1/32 works.
+func TestDeriveStepImpulses(t *testing.T) {
+	b := mrm.NewBuilder(3)
+	b.Rate(0, 1, 2).Rate(1, 2, 1)
+	b.Reward(0, 1).Reward(1, 1)
+	b.Impulse(0, 1, 0.3)
+	b.Label(0, "a").Label(1, "a").Label(2, "goal")
+	b.InitialState(0)
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := deriveStep(m, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := 0.3 / d; math.Abs(q-math.Round(q)) > 1e-9*(1+q) {
+		t.Errorf("d=%v: ι/d = %v is not an integer", d, q)
+	}
+	f := logic.MustParse("P=? [ a U{t<=1, r<=2} goal ]")
+	opts := DefaultOptions()
+	opts.P3 = AlgDiscretise
+	got, err := New(m, opts).Values(f)
+	if err != nil {
+		t.Fatalf("derived step: %v", err)
+	}
+	opts.DiscretiseStep = 0.1 / 32
+	want, err := New(m, opts).Values(f)
+	if err != nil {
+		t.Fatalf("explicit step: %v", err)
+	}
+	// Both are first-order approximations of the same probability.
+	if math.Abs(got[0]-want[0]) > 0.02 {
+		t.Errorf("derived step d=%v: %v, explicit d=%v: %v", d, got[0], opts.DiscretiseStep, want[0])
+	}
+}
