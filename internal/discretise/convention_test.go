@@ -153,7 +153,8 @@ func TestReachProbAllParallelEquivalence(t *testing.T) {
 
 // TestInnerLoopParallelEquivalence exercises the per-state parallel inner
 // loop (needs n·(R+1) ≥ recursionGrain) and checks bitwise agreement with
-// the sequential path.
+// the sequential path. The chain's last state is absorbing with zero
+// reward, so its in-place row is computed by whichever worker owns it.
 func TestInnerLoopParallelEquivalence(t *testing.T) {
 	const n = 40
 	b := mrm.NewBuilder(n)
@@ -175,7 +176,7 @@ func TestInnerLoopParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 5} {
+	for _, workers := range []int{0, 2, 4, 5} {
 		par, err := ReachProb(m, goal, tb, rb, 0, Options{D: d, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
