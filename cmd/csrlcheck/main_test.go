@@ -12,6 +12,7 @@ import (
 	"github.com/performability/csrl/internal/adhoc"
 	"github.com/performability/csrl/internal/discretise"
 	"github.com/performability/csrl/internal/modelfile"
+	"github.com/performability/csrl/internal/sericola"
 )
 
 func writeStationModel(t *testing.T) string {
@@ -430,5 +431,16 @@ func TestRunRejectsInvalidStep(t *testing.T) {
 		if code != 1 || !errors.Is(err, discretise.ErrGrid) {
 			t.Errorf("-d %s %s: code %d err %v, want 1 and ErrGrid", tc.d, tc.formula, code, err)
 		}
+	}
+}
+
+// TestRunRefusesOversizedSericola pins the Sericola size cap end to end: a
+// reward-bounded until on cluster:60 whose occupation-time recursion would
+// hold gigabytes and run for minutes exits with sericola.ErrTooLarge.
+func TestRunRefusesOversizedSericola(t *testing.T) {
+	var out bytes.Buffer
+	code, err := run([]string{"-model", "cluster:60", "P=? [ !down U{t<=96, r<=50} down ]"}, &out)
+	if code != 1 || !errors.Is(err, sericola.ErrTooLarge) {
+		t.Errorf("code %d err %v, want 1 and ErrTooLarge", code, err)
 	}
 }

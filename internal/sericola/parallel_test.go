@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/parallel"
 )
 
-// gridModel builds an n-state chain with three distinct rewards, large
-// enough (n² ≥ runGrain) that the per-level row sweeps actually fan out.
+// gridModel builds an n-state ring with three distinct rewards and every
+// fourth state in the goal set, so the recursion carries ⌈n/4⌉ columns.
 func gridModel(t *testing.T, n int) *mrm.MRM {
 	t.Helper()
 	b := mrm.NewBuilder(n)
@@ -28,18 +29,36 @@ func gridModel(t *testing.T, n int) *mrm.MRM {
 	return m
 }
 
+// fansOut runs fn and reports whether it dispatched parallel chunks.
+func fansOut(fn func()) bool {
+	before := parallel.ChunkCount()
+	fn()
+	return parallel.ChunkCount() > before
+}
+
 func TestReachProbAllParallelEquivalence(t *testing.T) {
-	m := gridModel(t, 60)
+	// 100 states carry 25 goal columns: n·g = 2500 ≥ runGrain, so the
+	// per-level row sweeps fan out.
+	m := gridModel(t, 100)
 	goal := m.Label("goal")
+	if n, g := m.N(), goal.Len(); n*g < runGrain {
+		t.Fatalf("n·g = %d·%d below runGrain %d: the recursion would not fan out", n, g, runGrain)
+	}
 	const tb, rb = 0.8, 0.9 // binds: max accumulable reward is 2·tb
 	seq, err := ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Workers: 1})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
 	for _, workers := range []int{0, 2, 3, runtime.NumCPU()} {
-		par, err := ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Workers: workers})
+		var par *Result
+		fanned := fansOut(func() {
+			par, err = ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Workers: workers})
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if parallel.Resolve(workers) > 1 && !fanned {
+			t.Errorf("workers=%d: the recursion dispatched no parallel chunks", workers)
 		}
 		if par.N != seq.N {
 			t.Fatalf("workers=%d: N=%d, sequential N=%d", workers, par.N, seq.N)
@@ -57,8 +76,9 @@ func TestReachProbAllParallelEquivalence(t *testing.T) {
 
 func TestReachProbAllParallelVacuousBound(t *testing.T) {
 	// Vacuous reward bound exercises the transientGoal fallback's parallel
-	// kernels instead of the recursion.
-	m := gridModel(t, 60)
+	// kernels instead of the recursion. 400 states store 1 200 entries of
+	// the uniformised matrix, above the sparse kernels' fan-out grain.
+	m := gridModel(t, 400)
 	goal := m.Label("goal")
 	const tb = 0.8
 	rb := 2*tb + 1 // exceeds max accumulable reward
@@ -66,7 +86,10 @@ func TestReachProbAllParallelVacuousBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	par, err := ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Workers: 0})
+	var par *Result
+	if !fansOut(func() { par, err = ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Workers: 2}) }) {
+		t.Error("the transient sweep dispatched no parallel chunks")
+	}
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}

@@ -1,10 +1,12 @@
 package sericola
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/sparse"
 )
 
 // singleJump is the analytically solvable model used to verify the C(h,n,k)
@@ -212,5 +214,68 @@ func TestReachProbUsesInitialDistribution(t *testing.T) {
 	want := 0.5*(1-math.Exp(-0.5)) + 0.5*1
 	if math.Abs(v-want) > 1e-8 {
 		t.Errorf("mixed-initial value %v, want %v", v, want)
+	}
+}
+
+// TestOversizedRecursionRefused pins the size caps: a recursion whose
+// tensors exceed maxHeld, or whose work exceeds maxWork, fails with
+// ErrTooLarge before anything is checked out of the pool — the vacuous
+// bound in each batch shows that the transient leg does not run either.
+func TestOversizedRecursionRefused(t *testing.T) {
+	const n = 200
+	b := mrm.NewBuilder(n)
+	for s := 0; s < n; s++ {
+		b.Rate(s, (s+1)%n, 1)
+		b.Reward(s, float64(s))
+	}
+	ring, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jump := singleJump(t, 1)
+	for _, tc := range []struct {
+		name string
+		m    *mrm.MRM
+		goal *mrm.StateSet
+		t    float64
+		rs   []float64
+	}{
+		// 199 bands × 2·(N+1) = 72 levels of 200×200 cells: 5.7e8 held.
+		{"held", ring, mrm.NewStateSet(n).Complement(), 10, []float64{5, 1e6}},
+		// One band, one column, N ≈ 3.1e5 levels: 1.2e6 held, 2.9e11 work.
+		{"work", jump, jump.Label("goal"), 3e5, []float64{1e5, 1e6}},
+	} {
+		pool := sparse.NewVecPool()
+		_, err := ReachProbBatch(tc.m, tc.goal, tc.t, tc.rs, Options{Epsilon: 1e-9, Pool: pool})
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s: err %v, want ErrTooLarge", tc.name, err)
+		}
+		if gets := pool.Stats().Gets; gets != 0 {
+			t.Errorf("%s: %d pool checkouts before the refusal, want 0", tc.name, gets)
+		}
+	}
+}
+
+// TestRunSizeCountsPooledCells pins runSize's held count to what run
+// actually checks out of a fresh pool, so the cap cannot drift from the
+// layout it bounds.
+func TestRunSizeCountsPooledCells(t *testing.T) {
+	m := fourState(t)
+	goal := mrm.NewStateSetOf(m.N(), 1, 3)
+	rs := []float64{0.4, 2.2, 0.9}
+	for _, fullWidth := range []bool{false, true} {
+		pool := sparse.NewVecPool()
+		res, err := ReachProbBatch(m, goal, 1.5, rs, Options{Epsilon: 1e-10, FullWidth: fullWidth, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := goal.Len()
+		if fullWidth {
+			g = m.N()
+		}
+		held, _ := runSize(m.N(), g, len(m.DistinctRewards())-1, res[0].N, len(rs), m.Rates().NNZ())
+		if got := pool.Stats().AllocBytes; float64(got) != 8*held {
+			t.Errorf("fullWidth=%v: pooled %d bytes, runSize counts %v cells (%v bytes)", fullWidth, got, held, 8*held)
+		}
 	}
 }

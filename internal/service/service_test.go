@@ -6,16 +6,19 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/performability/csrl/internal/adhoc"
+	"github.com/performability/csrl/internal/cluster"
 	"github.com/performability/csrl/internal/core"
 	"github.com/performability/csrl/internal/logic"
 	"github.com/performability/csrl/internal/modelfile"
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/obs"
+	"github.com/performability/csrl/internal/sericola"
 )
 
 // newTestServer starts an httptest server over a fresh Server with the
@@ -36,11 +39,18 @@ func newTestServer(t *testing.T, window time.Duration) (*Server, *httptest.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, ts, m, upload(t, ts.URL, m)
+}
+
+// upload posts m to the server at url, checks that it was newly created
+// under its local fingerprint, and returns that fingerprint.
+func upload(t *testing.T, url string, m *mrm.MRM) string {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := modelfile.Encode(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/models", "application/json", &buf)
+	resp, err := http.Post(url+"/v1/models", "application/json", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +68,7 @@ func newTestServer(t *testing.T, window time.Duration) (*Server, *httptest.Serve
 	if !info.Created {
 		t.Fatal("first upload should report created")
 	}
-	return s, ts, m, info.Fingerprint
+	return info.Fingerprint
 }
 
 func postCheck(t *testing.T, url string, req CheckRequest) (int, CheckResponse, apiError) {
@@ -452,6 +462,31 @@ func TestHugeTimeBoundIsAnErrorNotACrash(t *testing.T) {
 	status, _, apiErr := postCheck(t, ts.URL, CheckRequest{Model: fp, Formula: huge})
 	if status < 400 || status > 599 || apiErr.Error == "" {
 		t.Fatalf("huge time bound: status %d, error %q; want a 4xx/5xx JSON error", status, apiErr.Error)
+	}
+	status, resp, apiErr := postCheck(t, ts.URL, CheckRequest{Model: fp, Formula: "P=? [ (call_idle | doze) U{t<=24, r<=550} call_initiated ]"})
+	if status != http.StatusOK || resp.Value == nil {
+		t.Fatalf("follow-up query: status %d, error %q", status, apiErr.Error)
+	}
+}
+
+// TestOversizedSericolaIsRefused sends a reward-bounded until on cluster:60
+// whose occupation-time recursion exceeds the Sericola size caps. It must
+// come back as a 422 naming the cap, not take the process down, and the
+// server must keep serving.
+func TestOversizedSericolaIsRefused(t *testing.T) {
+	_, ts, _, fp := newTestServer(t, 0)
+	params, err := cluster.Default(60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := params.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clFP := upload(t, ts.URL, cl)
+	status, _, apiErr := postCheck(t, ts.URL, CheckRequest{Model: clFP, Formula: "P=? [ !down U{t<=96, r<=50} down ]"})
+	if status != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Error, sericola.ErrTooLarge.Error()) {
+		t.Fatalf("oversized recursion: status %d, error %q; want 422 and %q", status, apiErr.Error, sericola.ErrTooLarge)
 	}
 	status, resp, apiErr := postCheck(t, ts.URL, CheckRequest{Model: fp, Formula: "P=? [ (call_idle | doze) U{t<=24, r<=550} call_initiated ]"})
 	if status != http.StatusOK || resp.Value == nil {
