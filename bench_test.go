@@ -71,16 +71,26 @@ func BenchmarkTable2Sericola(b *testing.B) {
 }
 
 // BenchmarkTable3Erlang regenerates Table 3: the pseudo-Erlang
-// approximation across phase counts k.
+// approximation across phase counts k, plus the call the station-p3
+// benchmark workload makes (the checker's default k = 256 and ε = 1e-9).
 func BenchmarkTable3Erlang(b *testing.B) {
 	m, goal, init := q3Setup(b)
-	for _, k := range []int{16, 128, 1024} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		k    int
+		eps  float64
+	}{
+		{"k=16", 16, 0},
+		{"k=128", 128, 0},
+		{"k=1024", 1024, 0},
+		{"k=256,eps=1e-09", 256, 1e-9},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var v float64
 			for i := 0; i < b.N; i++ {
 				vals, err := erlang.ReachProbAll(m, goal, adhoc.Q3TimeBound, adhoc.Q3PaperRewardBound,
-					erlang.Options{K: k})
+					erlang.Options{K: bc.k, Transient: transient.Options{Epsilon: bc.eps}})
 				if err != nil {
 					b.Fatal(err)
 				}

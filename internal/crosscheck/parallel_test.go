@@ -8,6 +8,7 @@ import (
 	"github.com/performability/csrl/internal/adhoc"
 	"github.com/performability/csrl/internal/discretise"
 	"github.com/performability/csrl/internal/erlang"
+	"github.com/performability/csrl/internal/parallel"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/transient"
 )
@@ -16,7 +17,8 @@ import (
 // suite of the parallel-engine work: on the paper's ad-hoc case study
 // (Q3's Theorem 1 reduction), each of the three P3 procedures must agree
 // between Workers: 1 (the exact legacy path) and parallel worker counts
-// within 1e-12. It runs under -race in CI, covering every concurrent path.
+// within 1e-12, the pseudo-Erlang one bit for bit. It runs under -race in
+// CI, covering every concurrent path.
 func TestAdhocParallelEquivalence(t *testing.T) {
 	red, err := adhoc.Q3Reduced()
 	if err != nil {
@@ -49,22 +51,32 @@ func TestAdhocParallelEquivalence(t *testing.T) {
 	})
 
 	t.Run("erlang", func(t *testing.T) {
-		// k = 256 expands to 1281 states / ≈5k transitions: above the
-		// sparse kernels' grain, so the sweeps genuinely run in parallel.
-		seqOpts := erlang.Options{K: 256, Transient: transient.Options{Epsilon: 1e-12, Workers: 1}}
-		seq, err := erlang.ReachProbAll(m, goal, tb, rb, seqOpts)
+		// k = 512 expands to 2561 states and ≈ 8k stored entries. The
+		// 1025 fixed rows (the goal and the other absorbing state in
+		// every phase, and the barrier) and the run entries counted at
+		// their discount put the sweep above the sparse kernels' grain,
+		// so it genuinely runs in parallel; k = 256, the checker's
+		// default, runs in one part. The backward sweep is bitwise
+		// stable across worker counts.
+		opts := func(w int) erlang.Options {
+			return erlang.Options{K: 512, Transient: transient.Options{Epsilon: 1e-12, Workers: w}}
+		}
+		seq, err := erlang.ReachProbAll(m, goal, tb, rb, opts(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range workerGrid {
-			parOpts := erlang.Options{K: 256, Transient: transient.Options{Epsilon: 1e-12, Workers: w}}
-			par, err := erlang.ReachProbAll(m, goal, tb, rb, parOpts)
+			before := parallel.ChunkCount()
+			par, err := erlang.ReachProbAll(m, goal, tb, rb, opts(w))
 			if err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
+			if parallel.Resolve(w) > 1 && parallel.ChunkCount() == before {
+				t.Fatalf("workers=%d: the sweep never fanned out", w)
+			}
 			for s := range par {
-				if d := math.Abs(par[s] - seq[s]); d > 1e-12 {
-					t.Errorf("workers=%d: state %d differs by %g", w, s, d)
+				if math.Float64bits(par[s]) != math.Float64bits(seq[s]) {
+					t.Errorf("workers=%d: state %d: %v, sequential %v", w, s, par[s], seq[s])
 				}
 			}
 		}

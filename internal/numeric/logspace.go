@@ -68,11 +68,20 @@ func BinomialPMF(lf []float64, n, k int, x float64) float64 {
 		float64(k)*math.Log(x) + float64(n-k)*math.Log1p(-x))
 }
 
+// minExpArg is the smallest float64 for which math.Exp returns a non-zero
+// value (the least subnormal, 5e-324); every argument below it returns +0.
+// It is the Underflow bound of the math package's portable Exp, and the
+// amd64 assembly Exp agrees (TestMinExpArg).
+const minExpArg = -745.1332191019411
+
 // BinomialRow fills dst[k] = BinomialPMF(lf, n, k, x) for 0 ≤ k ≤ n. Entry
 // for entry it evaluates the identical log-domain expression as
 // BinomialPMF — results are bitwise equal — but hoists log(x) and
 // log1p(-x) out of the loop, which matters to callers that need whole rows
-// per uniformisation level (the Sericola recursion evaluates O(N²) terms).
+// per uniformisation level (the Sericola recursion evaluates O(N²) terms),
+// and writes +0 without calling Exp where the exponent is below minExpArg:
+// deep tails of long rows underflow (at n = 600 and x ≈ 0.036, 256 of 601
+// terms).
 //
 //numerics:domain lf=log x=prob dst=prob
 func BinomialRow(lf []float64, n int, x float64, dst []float64) {
@@ -85,8 +94,12 @@ func BinomialRow(lf []float64, n int, x float64, dst []float64) {
 	}
 	lx, l1x := math.Log(x), math.Log1p(-x)
 	for k := 0; k <= n; k++ {
-		dst[k] = math.Exp(lf[n] - lf[k] - lf[n-k] +
-			float64(k)*lx + float64(n-k)*l1x)
+		e := lf[n] - lf[k] - lf[n-k] + float64(k)*lx + float64(n-k)*l1x
+		if e < minExpArg {
+			dst[k] = 0
+			continue
+		}
+		dst[k] = math.Exp(e)
 	}
 }
 

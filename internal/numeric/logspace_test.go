@@ -87,6 +87,51 @@ func TestBinomialPMF(t *testing.T) {
 	}
 }
 
+// TestMinExpArg pins the underflow bound BinomialRow skips Exp below:
+// Exp(minExpArg) is the least subnormal, and Exp returns +0 one ulp lower,
+// over the next 10⁵ ulps and at arguments spread down to −10⁶.
+func TestMinExpArg(t *testing.T) {
+	if got := math.Exp(minExpArg); got != 5e-324 {
+		t.Fatalf("Exp(minExpArg) = %v, want 5e-324", got)
+	}
+	x := minExpArg
+	for i := 0; i < 100000; i++ {
+		x = math.Nextafter(x, math.Inf(-1))
+		if got := math.Exp(x); math.Float64bits(got) != 0 {
+			t.Fatalf("Exp(%v) = %v, want +0", x, got)
+		}
+	}
+	for x := minExpArg - 1e-9; x > -1e6; x *= 1.01 {
+		if got := math.Exp(x); math.Float64bits(got) != 0 {
+			t.Fatalf("Exp(%v) = %v, want +0", x, got)
+		}
+	}
+}
+
+// TestBinomialRowMatchesPMF pins BinomialRow bit for bit against
+// BinomialPMF on rows whose tails underflow.
+func TestBinomialRowMatchesPMF(t *testing.T) {
+	lf := LogFactorials(1200)
+	for _, n := range []int{0, 1, 300, 600, 1200} {
+		for _, x := range []float64{0, 0.036, 0.5, 0.97, 1} {
+			row := make([]float64, n+1)
+			BinomialRow(lf, n, x, row)
+			zeros := 0
+			for k, got := range row {
+				if want := BinomialPMF(lf, n, k, x); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("BinomialRow(%d, %v)[%d] = %v, BinomialPMF %v", n, x, k, got, want)
+				}
+				if got == 0 {
+					zeros++
+				}
+			}
+			if n == 600 && x == 0.036 && zeros == 0 {
+				t.Fatalf("BinomialRow(600, 0.036) has no underflowing term")
+			}
+		}
+	}
+}
+
 func TestPoissonPMFTable(t *testing.T) {
 	pmf, err := PoissonPMFTable(3.5, 60)
 	if err != nil {

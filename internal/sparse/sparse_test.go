@@ -38,6 +38,41 @@ func TestNewFromTriplets(t *testing.T) {
 	}
 }
 
+// TestNewFromTripletsSortedMatchesShuffled pins the sort skip: triplets
+// with distinct (row, col) given strictly increasing, which skip the sort,
+// and the same triplets shuffled give identical arrays bit for bit; so do
+// sorted triplets holding a duplicate, which take the sort.
+func TestNewFromTripletsSortedMatchesShuffled(t *testing.T) {
+	const n = 60
+	r := rand.New(rand.NewSource(3))
+	var sorted []Triplet
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if r.Intn(5) == 0 {
+				sorted = append(sorted, Triplet{Row: i, Col: j, Val: r.NormFloat64()})
+			}
+		}
+	}
+	sorted[7].Val = math.Copysign(0, -1)
+	withDup := append([]Triplet{sorted[0]}, sorted...)
+	for _, ts := range [][]Triplet{sorted, withDup} {
+		want := mustCSR(t, n, ts)
+		for round := 0; round < 5; round++ {
+			shuffled := append([]Triplet(nil), ts...)
+			r.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+			got := mustCSR(t, n, shuffled)
+			if !reflect.DeepEqual(got.rowPtr, want.rowPtr) || !reflect.DeepEqual(got.col, want.col) {
+				t.Fatalf("round %d: shuffled input gives another pattern", round)
+			}
+			for k := range want.val {
+				if math.Float64bits(got.val[k]) != math.Float64bits(want.val[k]) {
+					t.Fatalf("round %d: val[%d] = %v, sorted input %v", round, k, got.val[k], want.val[k])
+				}
+			}
+		}
+	}
+}
+
 func TestNewFromTripletsRejectsOutOfRange(t *testing.T) {
 	if _, err := NewFromTriplets(2, []Triplet{{Row: 2, Col: 0, Val: 1}}); err == nil {
 		t.Error("row out of range not rejected")
