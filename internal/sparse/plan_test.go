@@ -96,7 +96,23 @@ func TestSweepPlanMatchesUnfusedKernels(t *testing.T) {
 
 func checkPlanAgainstOracle(t *testing.T, n, g, workers int, forward, accumulate bool, seed uint64) {
 	m, fixed := planCSR(t, n, uint64(n+g))
-	src := planSrc(n, g, fixed, 7*seed+uint64(g))
+	plan := NewSweepPlan(m, g, workers, forward)
+	defer plan.Release()
+	if forward && len(plan.fixed) != 0 {
+		t.Fatalf("forward plan found %d fixed rows, want none", len(plan.fixed))
+	}
+	if !forward && fmt.Sprint(plan.fixed) != fmt.Sprint(fixed) {
+		t.Fatalf("fixed rows %v, want %v", plan.fixed, fixed)
+	}
+	checkPlanSteps(t, m, planSrc(n, g, fixed, 7*seed+uint64(g)), workers, forward, accumulate)
+}
+
+// checkPlanSteps runs three steps of a plan on m from src and of the
+// unfused oracle, dropping a column after the first when g > 1, and fails
+// on the first element, accumulator or column maximum whose bits differ.
+func checkPlanSteps(t *testing.T, m *CSR, src *Block, workers int, forward, accumulate bool) {
+	t.Helper()
+	n, g := src.n, src.g
 	// The plan's and the oracle's own blocks and accumulators. The
 	// accumulators start from random values: the sweep's start from +0,
 	// and neither holds −0, the one value the seeding's 0 + 1·v could
@@ -114,12 +130,6 @@ func checkPlanAgainstOracle(t *testing.T, n, g, workers int, forward, accumulate
 	}
 	plan := NewSweepPlan(m, g, workers, forward)
 	defer plan.Release()
-	if forward && len(plan.fixed) != 0 {
-		t.Fatalf("forward plan found %d fixed rows, want none", len(plan.fixed))
-	}
-	if !forward && fmt.Sprint(plan.fixed) != fmt.Sprint(fixed) {
-		t.Fatalf("fixed rows %v, want %v", plan.fixed, fixed)
-	}
 	plan.Seed(pCur, pNext)
 	diffs := make([]float64, g)
 	for step := 0; step < 3; step++ {

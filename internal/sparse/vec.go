@@ -14,10 +14,21 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// AXPY computes y += alpha·x in place.
+// AXPY computes y += alpha·x in place, four elements at a time; each
+// element gets the one expression y[i] += alpha·x[i] whatever the order.
 func AXPY(alpha float64, x, y []float64) {
-	for i, v := range x {
-		y[i] += alpha * v
+	y = y[:len(x)]
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		xs := x[i : i+4 : i+4]
+		ys := y[i : i+4 : i+4]
+		ys[0] += alpha * xs[0]
+		ys[1] += alpha * xs[1]
+		ys[2] += alpha * xs[2]
+		ys[3] += alpha * xs[3]
+	}
+	for ; i < len(x); i++ {
+		y[i] += alpha * x[i]
 	}
 }
 
