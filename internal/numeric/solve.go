@@ -14,20 +14,18 @@ type SolveOptions struct {
 	Tolerance float64
 	// MaxIterations bounds the iteration count.
 	MaxIterations int
-	// Omega is the SOR relaxation factor; 1 means plain Gauss–Seidel.
-	Omega float64
 }
 
 // DefaultSolveOptions returns conservative defaults suitable for the
 // well-conditioned systems arising in probabilistic model checking.
 func DefaultSolveOptions() SolveOptions {
-	return SolveOptions{Tolerance: 1e-12, MaxIterations: 100_000, Omega: 1}
+	return SolveOptions{Tolerance: 1e-12, MaxIterations: 100_000}
 }
 
 // ErrNoConvergence reports that an iterative method hit its iteration cap.
 var ErrNoConvergence = errors.New("numeric: iterative solver did not converge")
 
-// SolveGaussSeidel solves (I - A)·x = b by Gauss–Seidel / SOR sweeps, the
+// SolveGaussSeidel solves (I - A)·x = b by Gauss–Seidel sweeps, the
 // standard fixed-point form for unbounded-until probabilities
 // (x = A·x + b with A substochastic). A's diagonal entries must be < 1.
 func SolveGaussSeidel(a *sparse.CSR, b []float64, opts SolveOptions) ([]float64, error) {
@@ -40,14 +38,6 @@ func SolveGaussSeidel(a *sparse.CSR, b []float64, opts SolveOptions) ([]float64,
 	}
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = 100_000
-	}
-	if opts.Omega == 0 {
-		opts.Omega = 1
-	}
-	// SOR diverges outside the classical relaxation window (0, 2); reject
-	// (NaN included) instead of iterating to the cap on a divergent sweep.
-	if !(opts.Omega > 0 && opts.Omega < 2) {
-		return nil, fmt.Errorf("numeric: SOR relaxation factor Omega=%v outside (0, 2)", opts.Omega)
 	}
 	x := make([]float64, n)
 	for iter := 0; iter < opts.MaxIterations; iter++ {
@@ -68,7 +58,6 @@ func SolveGaussSeidel(a *sparse.CSR, b []float64, opts SolveOptions) ([]float64,
 				continue
 			}
 			newXi := (b[i] + sum) / denom
-			newXi = x[i] + opts.Omega*(newXi-x[i])
 			if d := math.Abs(newXi - x[i]); d > maxDelta {
 				maxDelta = d
 			}
