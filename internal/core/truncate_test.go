@@ -15,7 +15,7 @@ import (
 // forward single-state sweep or falls back to the dense Sat-based check —
 // the verdict must match a truncation-free checker, with the lump pre-pass
 // off and in the default configuration. The window gauge separates the
-// two routes: sweepForwardTruncated sets it whenever it runs, so its
+// two routes: the forward sweep sets it whenever it runs, so its
 // presence proves the fast path engaged exactly for the eligible
 // time-bounded until formulas.
 func TestCheckTruncatedAgreesWithDense(t *testing.T) {

@@ -9,8 +9,7 @@ import (
 var blockWorkers = []int{0, 1, 2, 4, 8}
 
 // randomBlock fills an n×g block with deterministic values; roughly one in
-// eight entries is exactly zero so the transpose kernels' zero skip is
-// exercised on every shape.
+// eight entries is exactly zero.
 func randomBlock(n, g int, seed uint64) *Block {
 	r := lcg(seed)
 	b := NewBlock(n, g, nil)
@@ -32,7 +31,7 @@ func TestMulBlockMatchesMulVecBitwise(t *testing.T) {
 			m := randomCSR(t, n, 8, uint64(n*31+g))
 			src := randomBlock(n, g, uint64(n+g))
 			dst := NewBlock(n, g, nil)
-			m.MulBlockPar(dst, src, 1)
+			m.MulBlockRows(dst.data, src.data, g, 0, n)
 			x := make([]float64, n)
 			want := make([]float64, n)
 			for j := 0; j < g; j++ {
@@ -49,7 +48,9 @@ func TestMulBlockMatchesMulVecBitwise(t *testing.T) {
 	}
 }
 
-func TestMulBlockParMatchesMulVecBitwise(t *testing.T) {
+// TestSweepPlanStepMatchesMulVecBitwise pins the product of a sweep-plan
+// step, partitioned or not, against the vector oracle column by column.
+func TestSweepPlanStepMatchesMulVecBitwise(t *testing.T) {
 	for _, n := range []int{1, 50, 400} {
 		for _, g := range []int{1, 3, 6} {
 			m := randomCSR(t, n, 8, uint64(n*17+g))
@@ -58,64 +59,13 @@ func TestMulBlockParMatchesMulVecBitwise(t *testing.T) {
 			want := make([]float64, n)
 			for _, workers := range blockWorkers {
 				dst := NewBlock(n, g, nil)
-				m.MulBlockPar(dst, src, workers)
+				planMul(m, dst, src, workers)
 				for j := 0; j < g; j++ {
 					src.Col(x, j)
 					mulVec(m, want, x)
 					for i := 0; i < n; i++ {
 						if dst.At(i, j) != want[i] {
 							t.Fatalf("n=%d g=%d workers=%d: dst[%d,%d] = %g, mulVec %g (must be bitwise equal)",
-								n, g, workers, i, j, dst.At(i, j), want[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestMulBlockTMatchesMulVecTBitwise(t *testing.T) {
-	for _, n := range []int{1, 3, 50, 400} {
-		for _, g := range []int{1, 2, 5} {
-			m := randomCSR(t, n, 8, uint64(n*13+g))
-			src := randomBlock(n, g, uint64(n*3+g))
-			dst := NewBlock(n, g, nil)
-			m.MulBlockTPar(dst, src, 1)
-			x := make([]float64, n)
-			want := make([]float64, n)
-			for j := 0; j < g; j++ {
-				src.Col(x, j)
-				mulVecT(m, want, x)
-				for i := 0; i < n; i++ {
-					if dst.At(i, j) != want[i] {
-						t.Fatalf("n=%d g=%d: dst[%d,%d] = %g, mulVecT %g (must be bitwise equal)",
-							n, g, i, j, dst.At(i, j), want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// MulBlockTPar reassociates the reduction exactly like the mulVecTPar
-// oracle, so the contract is bitwise equality per column against it at the
-// same worker count — not against the sequential kernel.
-func TestMulBlockTParMatchesMulVecTParPerColumn(t *testing.T) {
-	for _, n := range []int{1, 50, 400} {
-		for _, g := range []int{1, 3, 6} {
-			m := randomCSR(t, n, 8, uint64(n*11+g))
-			src := randomBlock(n, g, uint64(n*5+g))
-			x := make([]float64, n)
-			want := make([]float64, n)
-			for _, workers := range blockWorkers {
-				dst := NewBlock(n, g, nil)
-				m.MulBlockTPar(dst, src, workers)
-				for j := 0; j < g; j++ {
-					src.Col(x, j)
-					mulVecTPar(m, want, x, workers)
-					for i := 0; i < n; i++ {
-						if dst.At(i, j) != want[i] {
-							t.Fatalf("n=%d g=%d workers=%d: dst[%d,%d] = %g, mulVecTPar %g (must be bitwise equal)",
 								n, g, workers, i, j, dst.At(i, j), want[i])
 						}
 					}
@@ -227,10 +177,11 @@ func TestBlockPoolRoundTrip(t *testing.T) {
 	}
 }
 
-// benchBlock runs kernel on a 2000-state random matrix at g = 1 (the
-// vector product) and g = 4 (four vectors in one matrix pass); the g = 4
-// time against four g = 1 times is the block layout's traffic win.
-func benchBlock(b *testing.B, kernel func(m *CSR, dst, src *Block)) {
+// BenchmarkMulBlock runs the row kernel on a 2000-state random matrix at
+// g = 1 (the vector product) and g = 4 (four vectors in one matrix pass);
+// the g = 4 time against four g = 1 times is the block layout's traffic
+// win.
+func BenchmarkMulBlock(b *testing.B) {
 	m := benchCSR(b, 2000, 20)
 	for _, g := range []int{1, 4} {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
@@ -239,24 +190,8 @@ func benchBlock(b *testing.B, kernel func(m *CSR, dst, src *Block)) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernel(m, dst, src)
+				m.MulBlockRows(dst.data, src.data, g, 0, m.n)
 			}
 		})
 	}
-}
-
-func BenchmarkMulBlock(b *testing.B) {
-	benchBlock(b, func(m *CSR, dst, src *Block) { m.MulBlockPar(dst, src, 1) })
-}
-
-func BenchmarkMulBlockPar(b *testing.B) {
-	benchBlock(b, func(m *CSR, dst, src *Block) { m.MulBlockPar(dst, src, 0) })
-}
-
-func BenchmarkMulBlockT(b *testing.B) {
-	benchBlock(b, func(m *CSR, dst, src *Block) { m.MulBlockTPar(dst, src, 1) })
-}
-
-func BenchmarkMulBlockTPar(b *testing.B) {
-	benchBlock(b, func(m *CSR, dst, src *Block) { m.MulBlockTPar(dst, src, 0) })
 }

@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // lcg is a tiny deterministic generator so tests need no seeding policy.
 type lcg uint64
@@ -47,9 +44,9 @@ func randomVec(n int, seed uint64) []float64 {
 	return v
 }
 
-// TestMulVecParMatchesSequentialBitwise pins the vector product — the
-// block kernel at g = 1 — against the sequential oracle at every workers
-// value: the row partition must not move a bit.
+// TestMulVecParMatchesSequentialBitwise pins the vector product — a
+// sweep-plan step at g = 1 — against the sequential oracle at every
+// workers value: the row partition must not move a bit.
 func TestMulVecParMatchesSequentialBitwise(t *testing.T) {
 	for _, n := range []int{1, 3, 50, 400} {
 		m := randomCSR(t, n, 8, uint64(n)+1)
@@ -58,33 +55,11 @@ func TestMulVecParMatchesSequentialBitwise(t *testing.T) {
 		mulVec(m, want, x)
 		for _, workers := range []int{0, 1, 2, 3, 7, 16, 100} {
 			got := make([]float64, n)
-			m.MulBlockPar(vecBlock(got), vecBlock(x), workers)
+			planMul(m, vecBlock(got), vecBlock(x), workers)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d workers=%d: dst[%d] = %g, sequential %g (must be bitwise equal)",
 						n, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestMulVecTParMatchesSequential checks the transpose vector product at
-// g = 1 against the sequential oracle: the worker-order reduce may
-// reassociate, so agreement is to roundoff.
-func TestMulVecTParMatchesSequential(t *testing.T) {
-	for _, n := range []int{1, 3, 50, 400} {
-		m := randomCSR(t, n, 8, uint64(n)+7)
-		x := randomVec(n, 42)
-		want := make([]float64, n)
-		mulVecT(m, want, x)
-		for _, workers := range []int{0, 1, 2, 3, 7, 16, 100} {
-			got := make([]float64, n)
-			m.MulBlockTPar(vecBlock(got), vecBlock(x), workers)
-			for i := range got {
-				if d := math.Abs(got[i] - want[i]); d > 1e-13*(1+math.Abs(want[i])) {
-					t.Fatalf("n=%d workers=%d: dst[%d] = %g, sequential %g (Δ=%g)",
-						n, workers, i, got[i], want[i], d)
 				}
 			}
 		}
@@ -107,24 +82,17 @@ func TestRowCutsPartition(t *testing.T) {
 }
 
 func TestParKernelsSmallMatrixFallback(t *testing.T) {
-	// Below the grain the parallel kernels must still be correct (one
-	// worker runs the whole range).
+	// Below the grain a plan step must still be correct (one worker runs
+	// the whole range).
 	m := randomCSR(t, 5, 2, 11)
 	x := randomVec(5, 3)
 	want := make([]float64, 5)
 	got := make([]float64, 5)
 	mulVec(m, want, x)
-	m.MulBlockPar(vecBlock(got), vecBlock(x), 8)
+	planMul(m, vecBlock(got), vecBlock(x), 8)
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("small MulBlockPar mismatch at %d", i)
-		}
-	}
-	mulVecT(m, want, x)
-	m.MulBlockTPar(vecBlock(got), vecBlock(x), 8)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("small MulBlockTPar mismatch at %d", i)
+			t.Fatalf("small plan step mismatch at %d", i)
 		}
 	}
 }

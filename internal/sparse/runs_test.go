@@ -63,7 +63,7 @@ func runsOf(p *SweepPlan) [][2]int {
 // next row, and so joins its run.
 func TestSweepPlanFindsErlangRuns(t *testing.T) {
 	const states, k = 5, 8
-	p := NewSweepPlan(erlangCSR(t, states, k, false), 1, 1, false)
+	p := NewSweepPlan(erlangCSR(t, states, k, false), 1, 1)
 	var want [][2]int
 	for s := 0; s < states; s++ {
 		want = append(want, [2]int{s * k, s*k + k - 1})
@@ -78,11 +78,8 @@ func TestSweepPlanFindsErlangRuns(t *testing.T) {
 	if fmt.Sprint(p.fixed) != fmt.Sprint([]int{states * k}) {
 		t.Fatalf("fixed rows %v, want the barrier", p.fixed)
 	}
-	if p := NewSweepPlan(erlangCSR(t, states, k, true), 1, 1, false); len(runsOf(p)) != 0 {
+	if p := NewSweepPlan(erlangCSR(t, states, k, true), 1, 1); len(runsOf(p)) != 0 {
 		t.Fatalf("ulp-broken matrix has runs %v", runsOf(p))
-	}
-	if p := NewSweepPlan(erlangCSR(t, states, k, false), 1, 1, true); len(p.spans) != 0 {
-		t.Fatalf("forward plan has spans %v", p.spans)
 	}
 }
 
@@ -157,13 +154,13 @@ func TestSweepPlanRunBreaks(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := shiftCSR(t, n, tc.edit)
-			p := NewSweepPlan(m, 1, 1, false)
+			p := NewSweepPlan(m, 1, 1)
 			if fmt.Sprint(runsOf(p)) != fmt.Sprint(tc.want) {
 				t.Fatalf("runs %v, want %v", runsOf(p), tc.want)
 			}
 			for _, g := range []int{1, 3} {
 				for _, workers := range []int{1, 2, 4} {
-					checkPlanSteps(t, m, runSrc(n, g), workers, false, true)
+					checkPlanSteps(t, m, runSrc(n, g), workers, true)
 				}
 			}
 		})
@@ -171,7 +168,7 @@ func TestSweepPlanRunBreaks(t *testing.T) {
 }
 
 // TestSweepPlanRunsMatchRowKernel pins the run kernel against the per-row
-// kernel (MulBlockPar computes every row one by one) bit for bit on the
+// kernel (MulBlockRows computes every row one by one) bit for bit on the
 // Erlang shape, at g = 1 and g > 1 and at Workers 1, 2 and 4, through
 // checkPlanSteps. The matrix is large enough to fan out, so the part cuts
 // split runs.
@@ -179,7 +176,7 @@ func TestSweepPlanRunsMatchRowKernel(t *testing.T) {
 	m := erlangCSR(t, 7, 1500, false)
 	for _, g := range []int{1, 3} {
 		for _, workers := range []int{1, 2, 4} {
-			p := NewSweepPlan(m, g, workers, false)
+			p := NewSweepPlan(m, g, workers)
 			if workers > 1 {
 				if p.fanout(g) == 1 {
 					t.Fatalf("g=%d workers=%d: the plan does not fan out", g, workers)
@@ -194,7 +191,7 @@ func TestSweepPlanRunsMatchRowKernel(t *testing.T) {
 					t.Fatalf("g=%d workers=%d: no cut in %v splits a run", g, workers, p.cuts)
 				}
 			}
-			checkPlanSteps(t, m, runSrc(m.Dim(), g), workers, false, true)
+			checkPlanSteps(t, m, runSrc(m.Dim(), g), workers, true)
 		}
 	}
 }
@@ -221,7 +218,7 @@ func BenchmarkSweepPlanRuns(b *testing.B) {
 					cur, next := randomBlock(n, 1, 3), NewBlock(n, 1, nil)
 					accs := [][]float64{make([]float64, n)}
 					diffs := make([]float64, 1)
-					p := NewSweepPlan(m, 1, workers, false)
+					p := NewSweepPlan(m, 1, workers)
 					p.Seed(cur, next)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {

@@ -145,7 +145,7 @@ func (m *CSR) Row(i int, fn func(j int, v float64)) {
 // entry, which dominates when the active window is a few states wide.
 func (m *CSR) RowRange(i int) (cols []int, vals []float64) {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	//lint:ignore aliasret sharing is the documented contract: the row views feed the truncated scatter kernel and a copy per active state would defeat the windowing
+	//lint:ignore aliasret sharing is the documented contract: the row views feed the windowed forward scatter kernel and a copy per active state would defeat the windowing
 	return m.col[lo:hi], m.val[lo:hi]
 }
 

@@ -108,16 +108,10 @@ func TestMulVec(t *testing.T) {
 	})
 	x := []float64{1, 2, 3}
 	dst := make([]float64, 3)
-	m.MulBlockPar(vecBlock(dst), vecBlock(x), 1)
+	m.MulBlockRows(dst, x, 1, 0, 3)
 	want := []float64{7, 6, 4}
 	if !reflect.DeepEqual(dst, want) {
 		t.Errorf("M·x = %v, want %v", dst, want)
-	}
-	m.MulBlockTPar(vecBlock(dst), vecBlock(x), 1)
-	// Mᵀx = x·M: dst[j] = Σ_i x[i] M[i][j]
-	want = []float64{1*1 + 3*4, 2 * 3, 1 * 2}
-	if !reflect.DeepEqual(dst, want) {
-		t.Errorf("x·M = %v, want %v", dst, want)
 	}
 }
 
@@ -166,8 +160,8 @@ func TestMulVecTMatchesTransposeMulVec(t *testing.T) {
 		}
 		a := make([]float64, n)
 		b := make([]float64, n)
-		m.MulBlockTPar(vecBlock(a), vecBlock(x), 1)
-		m.Transpose().MulBlockPar(vecBlock(b), vecBlock(x), 1)
+		mulVecT(m, a, x)
+		m.Transpose().MulBlockRows(b, x, 1, 0, n)
 		return MaxDiff(a, b) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -53,7 +53,7 @@ func BenchmarkUntilSweep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sweep(pm, vs, w, lambda*t, opts, false)
+				sweep(pm, vs, w, lambda*t, opts)
 			}
 		})
 	}

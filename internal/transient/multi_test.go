@@ -38,7 +38,7 @@ func ringModel(t *testing.T, n int) *mrm.MRM {
 }
 
 // weightVecs returns g deterministic weighting vectors, including exact
-// zeros so the transpose kernels' zero skip is exercised.
+// zeros.
 func weightVecs(n, g int) [][]float64 {
 	vs := make([][]float64, g)
 	seed := uint64(g*977 + n)
@@ -90,33 +90,6 @@ func TestBackwardWeightedMultiBitwiseEqualsSingle(t *testing.T) {
 	}
 }
 
-func TestDistributionFromMultiBitwiseEqualsSingle(t *testing.T) {
-	m := ringModel(t, 300)
-	n := m.N()
-	inits := make([][]float64, 3)
-	for j := range inits {
-		inits[j] = make([]float64, n)
-		inits[j][j*17%n] = 0.5
-		inits[j][(j*29+3)%n] = 0.5
-	}
-	for _, mode := range []SteadyMode{SteadyOff, SteadyAuto} {
-		for _, workers := range multiWorkers {
-			opts := Options{Epsilon: 1e-10, Workers: workers, SteadyDetect: mode, Pool: sparse.NewVecPool()}
-			multi, err := DistributionFromMulti(m, inits, 2.0, opts)
-			if err != nil {
-				t.Fatalf("multi: %v", err)
-			}
-			for j, v := range inits {
-				single, err := DistributionFrom(m, v, 2.0, opts)
-				if err != nil {
-					t.Fatalf("single %d: %v", j, err)
-				}
-				bitwiseCols(t, "forward mode/workers/init", multi[j], single)
-			}
-		}
-	}
-}
-
 // TestMultiSteadyDetectPerColumn pins the per-column freeze in two
 // regimes. (a) All columns at the sweep's fixed point (scaled all-ones
 // vectors — P is stochastic): every column freezes at the first step and
@@ -152,8 +125,8 @@ func TestMultiSteadyDetectPerColumn(t *testing.T) {
 
 	// (a) Both columns are exact fixed points: all freeze, passes collapse.
 	fixed := [][]float64{ones, quarter}
-	accOn, prodOn := sweep(p, fixed, w, q, on, false)
-	_, prodOff := sweep(p, fixed, w, q, off, false)
+	accOn, prodOn := sweep(p, fixed, w, q, on)
+	_, prodOff := sweep(p, fixed, w, q, off)
 	if prodOff != w.Right {
 		t.Fatalf("detection off applied %d block passes, want the full window %d", prodOff, w.Right)
 	}
@@ -161,23 +134,23 @@ func TestMultiSteadyDetectPerColumn(t *testing.T) {
 		t.Fatalf("all-frozen block sweep still applied %d of %d passes", prodOn, prodOff)
 	}
 	for j, v := range fixed {
-		want, _ := sweep(p, [][]float64{v}, w, q, on, false)
+		want, _ := sweep(p, [][]float64{v}, w, q, on)
 		bitwiseCols(t, "all-frozen column", accOn[j], want[0])
 	}
 
 	// (b) One frozen column, one live: passes track the live column, and
 	// the frozen column's compaction leaves the live result bitwise intact.
 	mixed := [][]float64{ones, weightVecs(n, 1)[0]}
-	accMix, prodMix := sweep(p, mixed, w, q, on, false)
+	accMix, prodMix := sweep(p, mixed, w, q, on)
 	for j, v := range mixed {
-		want, prodSingle := sweep(p, [][]float64{v}, w, q, on, false)
+		want, prodSingle := sweep(p, [][]float64{v}, w, q, on)
 		bitwiseCols(t, "mixed column", accMix[j], want[0])
 		if j == 1 && prodMix != prodSingle {
 			t.Errorf("block passes %d, live column alone needs %d — passes must track the slowest column", prodMix, prodSingle)
 		}
 	}
 	// Detection stays within ε of the full summation, per column.
-	accOffMix, _ := sweep(p, mixed, w, q, off, false)
+	accOffMix, _ := sweep(p, mixed, w, q, off)
 	for j := range mixed {
 		if d := sparse.MaxDiff(accMix[j], accOffMix[j]); d > eps {
 			t.Errorf("column %d: steady-detect differs from full summation by %g > ε", j, d)

@@ -9,7 +9,7 @@ import (
 // planStepAllocs returns the allocations of one sweep-plan step on the
 // uniformised cluster:n model with down made absorbing — the matrix of the
 // cluster until — accumulate and steady test included.
-func planStepAllocs(t *testing.T, n, workers int, forward bool) float64 {
+func planStepAllocs(t *testing.T, n, workers int) float64 {
 	t.Helper()
 	c := clusterModel(t, n)
 	abs, err := c.MakeAbsorbing(c.Label("down"), false)
@@ -26,8 +26,7 @@ func planStepAllocs(t *testing.T, n, workers int, forward bool) float64 {
 	accs := [][]float64{make([]float64, dim)}
 	active := []int{0}
 	diffs := make([]float64, 1)
-	plan := sparse.NewSweepPlan(p, 1, workers, forward)
-	defer plan.Release()
+	plan := sparse.NewSweepPlan(p, 1, workers)
 	plan.Seed(cur, next)
 	return testing.AllocsPerRun(20, func() {
 		plan.Step(next, cur, 0.5, accs, active, diffs)
@@ -39,13 +38,11 @@ func planStepAllocs(t *testing.T, n, workers int, forward bool) float64 {
 // a sequential step allocates nothing, and a partitioned step allocates
 // only the fan-out's own bookkeeping, the same amount at every model size.
 func TestSweepPlanStepAllocs(t *testing.T) {
-	for _, forward := range []bool{false, true} {
-		if a := planStepAllocs(t, 60, 1, forward); a != 0 {
-			t.Errorf("forward=%v: Workers=1 step allocates %v times, want 0", forward, a)
-		}
-		small, large := planStepAllocs(t, 20, 4, forward), planStepAllocs(t, 60, 4, forward)
-		if small != large {
-			t.Errorf("forward=%v: Workers=4 step allocates %v times on cluster:20 but %v on cluster:60", forward, small, large)
-		}
+	if a := planStepAllocs(t, 60, 1); a != 0 {
+		t.Errorf("Workers=1 step allocates %v times, want 0", a)
+	}
+	small, large := planStepAllocs(t, 20, 4), planStepAllocs(t, 60, 4)
+	if small != large {
+		t.Errorf("Workers=4 step allocates %v times on cluster:20 but %v on cluster:60", small, large)
 	}
 }

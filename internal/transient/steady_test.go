@@ -44,12 +44,12 @@ func TestSteadyDetectStopsEarly(t *testing.T) {
 	}
 	v := m.Label("sink").Indicator()
 
-	offs, prodOff := sweep(p, [][]float64{v}, w, q, Options{Epsilon: eps, Workers: 1, SteadyDetect: SteadyOff}, false)
+	offs, prodOff := sweep(p, [][]float64{v}, w, q, Options{Epsilon: eps, Workers: 1, SteadyDetect: SteadyOff})
 	off := offs[0]
 	if prodOff != w.Right {
 		t.Fatalf("detection off applied %d products, want the full window %d", prodOff, w.Right)
 	}
-	ons, prodOn := sweep(p, [][]float64{v}, w, q, Options{Epsilon: eps, Workers: 1}, false)
+	ons, prodOn := sweep(p, [][]float64{v}, w, q, Options{Epsilon: eps, Workers: 1})
 	on := ons[0]
 	if prodOn >= prodOff {
 		t.Fatalf("steady-state detection did not stop early: %d products vs %d", prodOn, prodOff)

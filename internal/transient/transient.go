@@ -1,10 +1,12 @@
 // Package transient implements transient analysis of CTMCs by
 // uniformisation (Jensen's randomisation, refs [12, 17] of the paper):
-// π(t) = Σ_n PoissonPMF(λt; n) · α·Pⁿ with Fox–Glynn weights. Both the
-// forward variant (distribution at time t from an initial distribution) and
-// the backward variant (reachability probabilities for all start states in
-// one sweep) are provided; the backward variant is the work-horse for
-// P1-type time-bounded until formulas.
+// π(t) = Σ_n PoissonPMF(λt; n) · α·Pⁿ with Fox–Glynn weights. The backward
+// variant (reachability probabilities for all start states in one block
+// sweep over the uniformised matrix) is the work-horse for P1-type
+// time-bounded until formulas. The forward variant (the distribution at
+// time t from an initial distribution) is a windowed sweep that reads only
+// the rows of the states its iterate reaches, and can drop negligible
+// states within a ledgered share of the budget (Options.Truncate).
 package transient
 
 import (
@@ -34,9 +36,9 @@ type Cache interface {
 	// deriving and retaining it on first use. Derived models are shared
 	// between callers and must be treated as immutable. Without this, the
 	// until procedures rebuild the restricted model per call and its fresh
-	// pointer defeats the Uniformised memo. Only the dense routes use it:
-	// the truncated forward route reads the absorbing rows from the base
-	// model on demand and derives no model.
+	// pointer defeats the Uniformised memo. Only the backward routes use
+	// it: the forward sweep reads the absorbing rows from the base model
+	// on demand and derives no model.
 	Absorbing(m *mrm.MRM, set *mrm.StateSet, zeroReward bool) (*mrm.MRM, error)
 }
 
@@ -64,10 +66,12 @@ type Options struct {
 	// Lambda overrides the uniformisation rate; 0 selects
 	// MRM.UniformisationRate automatically.
 	Lambda float64
-	// Workers bounds the parallelism of the matrix–vector sweeps:
-	// 0 = runtime.NumCPU(), 1 = the exact sequential legacy path.
+	// Workers bounds the parallelism of the backward sweeps' matrix
+	// products: 0 = runtime.NumCPU(), 1 = sequential. Results are bitwise
+	// identical at every value. The forward sweep runs sequentially and
+	// ignores it.
 	Workers int
-	// Truncate, when positive, turns on truncation in the forward sweeps:
+	// Truncate, when positive, turns on truncation in the forward sweep:
 	// after each uniformisation step, active states whose probability mass
 	// lies below the threshold are dropped from the sweep window, as long
 	// as the total dropped mass stays within the ledgered share of Epsilon
@@ -75,8 +79,9 @@ type Options struct {
 	// mass is charged to the truncation/state-drop ledger term). The
 	// iterate of a forward sweep is a sub-distribution, so the dropped mass
 	// directly bounds the ℓ1 error of the result. Any other value — zero
-	// (the default), negative or NaN — disables truncation and keeps every
-	// existing result bitwise unchanged. Backward sweeps ignore the field:
+	// (the default), negative or NaN — disables truncation: no state is
+	// dropped and the budget split is that of an untruncated sweep.
+	// Backward sweeps ignore the field:
 	// their iterate is not a distribution and small entries carry no mass
 	// bound.
 	Truncate float64
@@ -133,9 +138,13 @@ func (o Options) absorbing(m *mrm.MRM, set *mrm.StateSet, zeroReward bool) (*mrm
 	return m.MakeAbsorbing(set, zeroReward)
 }
 
+// truncating reports whether a forward sweep drops states: Truncate is
+// positive.
+func (o Options) truncating() bool { return o.Truncate > 0 }
+
 // budgetSplit divides Epsilon among the truncation error sources active in
 // a sweep: the Fox–Glynn series truncation, steady-state detection, and —
-// for the truncated forward sweeps, which the truncating parameter
+// for a truncating forward sweep, which the truncating parameter
 // declares — the state-drop truncation. Every active source gets an equal
 // share (halves for two, thirds for three), and a solo Fox–Glynn leg keeps
 // the whole budget, so configurations that existed before truncation keep
@@ -180,20 +189,19 @@ func (o Options) poissonWeights(q, fgEps float64) (*numeric.PoissonWeights, erro
 	return w, nil
 }
 
-// sweep evaluates the uniformisation series Σ_n w(n)·vₙ for g initial
-// vectors at once, with v₀ = vs[j] and vₙ₊₁ = P·vₙ (forward = false) or
-// vₙ₊₁ = vₙ·P (forward = true), advancing all of them through each matrix
-// pass as one n×g block — one read of the matrix per step instead of g.
-// It returns the accumulators and the number of block matrix passes
-// applied. Each step is one sparse.SweepPlan step: the product, the
-// accumulate of the current iterate (inside the Fox–Glynn window) and the
-// per-column steady-test differences in one pass, with the fixed rows of
-// a backward sweep left out of the product. Column j of the outcome is
-// bitwise equal to the sweep of vs[j] alone: the plan keeps the
-// per-column arithmetic order of the vector product (exactly backward,
-// at the same workers value forward), every accumulator element gets the
-// AXPY expression, and steady-state detection runs per column with the
-// identical max|next − cur| < δ test. A column that converges is charged
+// sweep evaluates the backward uniformisation series Σ_n w(n)·vₙ for g
+// terminal vectors at once, with v₀ = vs[j] and vₙ₊₁ = P·vₙ, advancing all
+// of them through each matrix pass as one n×g block — one read of the
+// matrix per step instead of g. It returns the accumulators and the
+// number of block matrix passes applied. Each step is one
+// sparse.SweepPlan step: the product, the accumulate of the current
+// iterate (inside the Fox–Glynn window) and the per-column steady-test
+// differences in one pass, with the fixed rows left out of the product.
+// Column j of the outcome is bitwise equal to the sweep of vs[j] alone, at
+// every workers value: the plan keeps the per-column arithmetic order of
+// the vector product, every accumulator element gets the AXPY expression,
+// and steady-state detection runs per column with the identical
+// max|next − cur| < δ test. A column that converges is charged
 // its Poisson tail and then compacted out of the block, which cannot
 // disturb the surviving columns because every block element accumulates
 // only its own column's products. At g = 1 the plan and the column
@@ -213,12 +221,11 @@ func (o Options) poissonWeights(q, fgEps float64) (*numeric.PoissonWeights, erro
 //
 // Scratch blocks come from opts.Pool (nil-safe) and are returned to it;
 // the accumulators are pool-born and handed to the caller.
-func sweep(p *sparse.CSR, vs [][]float64, w *numeric.PoissonWeights, q float64, opts Options, forward bool) ([][]float64, int) {
+func sweep(p *sparse.CSR, vs [][]float64, w *numeric.PoissonWeights, q float64, opts Options) ([][]float64, int) {
 	n := p.Dim()
 	g := len(vs)
 	pool := opts.Pool
-	plan := sparse.NewSweepPlan(p, g, opts.Workers, forward)
-	defer plan.Release()
+	plan := sparse.NewSweepPlan(p, g, opts.Workers)
 	cur := sparse.NewBlock(n, g, pool)
 	for j, v := range vs {
 		cur.SetCol(j, v)
@@ -247,9 +254,8 @@ func sweep(p *sparse.CSR, vs [][]float64, w *numeric.PoissonWeights, q float64, 
 			}
 			break
 		}
-		// One pass: next = P·cur (column vectors) or cur·P (row vectors),
-		// the accumulate of cur once inside the window, and the per-column
-		// steady-test differences.
+		// One pass: next = P·cur, the accumulate of cur once inside the
+		// window, and the per-column steady-test differences.
 		var stepAccs [][]float64
 		if step >= w.Left {
 			stepAccs = accs
@@ -315,17 +321,7 @@ func Distribution(m *mrm.MRM, t float64, opts Options) ([]float64, error) {
 //
 //numerics:domain prob init=prob t=rate
 func DistributionFrom(m *mrm.MRM, init []float64, t float64, opts Options) ([]float64, error) {
-	return first(run(m, nil, [][]float64{init}, t, opts, true))
-}
-
-// DistributionFromMulti is DistributionFrom for several initial
-// distributions over the same model and time bound, advanced together as
-// one block per forward pass. result[j] is bitwise equal to
-// DistributionFrom(m, inits[j], t, opts) at the same Workers value.
-//
-//numerics:domain prob inits=prob t=rate
-func DistributionFromMulti(m *mrm.MRM, inits [][]float64, t float64, opts Options) ([][]float64, error) {
-	return run(m, nil, inits, t, opts, true)
+	return runForward(m, nil, init, t, opts)
 }
 
 // ReachProbAll returns, for every state s, the probability that the CTMC is
@@ -350,7 +346,11 @@ func ReachProbAll(m *mrm.MRM, goal *mrm.StateSet, t float64, opts Options) ([]fl
 //
 //numerics:domain t=rate
 func BackwardWeighted(m *mrm.MRM, v []float64, t float64, opts Options) ([]float64, error) {
-	return first(run(m, nil, [][]float64{v}, t, opts, false))
+	out, err := run(m, [][]float64{v}, t, opts)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
 // BackwardWeightedMulti is BackwardWeighted for several terminal weight
@@ -362,32 +362,17 @@ func BackwardWeighted(m *mrm.MRM, v []float64, t float64, opts Options) ([]float
 //
 //numerics:domain t=rate
 func BackwardWeightedMulti(m *mrm.MRM, vs [][]float64, t float64, opts Options) ([][]float64, error) {
-	return run(m, nil, vs, t, opts, false)
+	return run(m, vs, t, opts)
 }
 
-// first unwraps the result of a one-vector run.
-func first(out [][]float64, err error) ([]float64, error) {
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// run is the shared body of the public sweeps: argument checks, the
-// uniformisation and Fox–Glynn spans, the budget split and one dense
-// sweep over all vectors — or, for a truncating forward request, the
-// truncated sweep. absorb, when non-nil, is a set of states the sweep
-// treats as absorbing: the dense route derives the absorbing model for
-// it, the truncated route reads the window's rows from m directly.
-func run(m *mrm.MRM, absorb *mrm.StateSet, vs [][]float64, t float64, opts Options, forward bool) ([][]float64, error) {
+// run is the shared body of the backward sweeps: argument checks, the
+// uniformisation and Fox–Glynn spans and one block sweep over all vectors.
+func run(m *mrm.MRM, vs [][]float64, t float64, opts Options) ([][]float64, error) {
 	opts = opts.normalise()
 	for j, v := range vs {
 		if len(v) != m.N() {
 			return nil, fmt.Errorf("transient: vector %d length %d for %d states", j, len(v), m.N())
 		}
-	}
-	if absorb != nil && absorb.Universe() != m.N() {
-		return nil, fmt.Errorf("transient: %w: absorbing set universe %d for %d states", mrm.ErrModel, absorb.Universe(), m.N())
 	}
 	if t < 0 {
 		return nil, fmt.Errorf("transient: negative time bound %v", t)
@@ -395,42 +380,12 @@ func run(m *mrm.MRM, absorb *mrm.StateSet, vs [][]float64, t float64, opts Optio
 	if len(vs) == 0 {
 		return nil, nil
 	}
-	truncating := forward && opts.Truncate > 0
-	if truncating && len(vs) > 1 {
-		// The truncated forward sweep keeps a per-vector active window; a
-		// block advance would force the union of all windows on every
-		// column. Run the vectors through it one by one instead.
-		out := make([][]float64, len(vs))
-		for j := range vs {
-			//lint:ignore epsbudget each vector is an independent distribution with its own full-epsilon guarantee, exactly as if the caller had made the calls one by one
-			r, err := first(run(m, absorb, vs[j:j+1], t, opts, true))
-			if err != nil {
-				return nil, err
-			}
-			out[j] = r
-		}
-		return out, nil
-	}
 	if t == 0 {
 		out := make([][]float64, len(vs))
 		for j, v := range vs {
 			out[j] = sparse.Clone(v)
 		}
 		return out, nil
-	}
-	if truncating {
-		acc, err := runTruncated(m, absorb, vs[0], t, opts)
-		if err != nil {
-			return nil, err
-		}
-		return [][]float64{acc}, nil
-	}
-	if absorb != nil {
-		abs, err := opts.absorbing(m, absorb, false)
-		if err != nil {
-			return nil, fmt.Errorf("transient: %w", err)
-		}
-		m = abs
 	}
 	lambda := opts.Lambda
 	if lambda == 0 {
@@ -449,19 +404,33 @@ func run(m *mrm.MRM, absorb *mrm.StateSet, vs [][]float64, t float64, opts Optio
 	}
 	span = opts.Obs.StartSpan("transient.sweep")
 	defer span.End()
-	accs, _ := sweep(p, vs, w, lambda*t, opts, forward)
+	accs, _ := sweep(p, vs, w, lambda*t, opts)
 	return accs, nil
 }
 
-// runTruncated is the truncated forward route of run for one vector: no
-// absorbing model and no uniformised matrix are built. The rate is the
-// one the materialised matrix would use — opts.Lambda, else
-// UniformisationRate of the model with absorb made absorbing — and the
-// sweep reads P through uniformRows, so the result is bitwise the
-// truncated sweep over MakeAbsorbing + Uniformised. The rate scan and
-// Fox–Glynn run inside the uniformise span, the row arena and the sweep
-// inside the sweep span.
-func runTruncated(m *mrm.MRM, absorb *mrm.StateSet, v []float64, t float64, opts Options) ([]float64, error) {
+// runForward is the shared body of the forward requests: argument checks,
+// then the windowed sweep of v. absorb, when non-nil, is a set of states
+// the sweep treats as absorbing. No absorbing model and no uniformised
+// matrix are built. The rate is the one the materialised matrix would use
+// — opts.Lambda, else UniformisationRate of the model with absorb made
+// absorbing — and the sweep reads P through uniformRows, so the result is
+// bitwise the windowed sweep over MakeAbsorbing + Uniformised. The rate
+// scan and Fox–Glynn run inside the uniformise span, the row arena and
+// the sweep inside the sweep span.
+func runForward(m *mrm.MRM, absorb *mrm.StateSet, v []float64, t float64, opts Options) ([]float64, error) {
+	opts = opts.normalise()
+	if len(v) != m.N() {
+		return nil, fmt.Errorf("transient: vector length %d for %d states", len(v), m.N())
+	}
+	if absorb != nil && absorb.Universe() != m.N() {
+		return nil, fmt.Errorf("transient: %w: absorbing set universe %d for %d states", mrm.ErrModel, absorb.Universe(), m.N())
+	}
+	if t < 0 {
+		return nil, fmt.Errorf("transient: negative time bound %v", t)
+	}
+	if t == 0 {
+		return sparse.Clone(v), nil
+	}
 	span := opts.Obs.StartSpan("transient.uniformise")
 	lambda := opts.Lambda
 	if lambda == 0 {
@@ -470,7 +439,7 @@ func runTruncated(m *mrm.MRM, absorb *mrm.StateSet, v []float64, t float64, opts
 		span.End()
 		return nil, fmt.Errorf("transient: %w", err)
 	}
-	fgEps, _, _ := opts.budgetSplit(true)
+	fgEps, _, _ := opts.budgetSplit(opts.truncating())
 	w, err := opts.poissonWeights(lambda*t, fgEps)
 	span.End()
 	if err != nil {
@@ -479,9 +448,12 @@ func runTruncated(m *mrm.MRM, absorb *mrm.StateSet, v []float64, t float64, opts
 	span = opts.Obs.StartSpan("transient.sweep")
 	defer span.End()
 	rows := newUniformRows(m, absorb, lambda)
-	acc, dropped, _ := sweepForwardTruncated(rows, v, w, lambda*t, opts)
+	acc, dropped, _ := sweepForward(rows, v, w, lambda*t, opts)
 	if opts.Obs != nil {
-		opts.Obs.Charge("truncation", "state-drop", dropped)
+		// An untruncated sweep drops nothing and owes no state-drop term.
+		if opts.truncating() {
+			opts.Obs.Charge("truncation", "state-drop", dropped)
+		}
 	}
 	return acc, nil
 }

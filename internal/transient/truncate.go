@@ -91,23 +91,25 @@ func (r *uniformRows) build(s int) {
 	r.lo[s], r.hi[s] = lo+1, len(r.cols)
 }
 
-// sweepForwardTruncated is the truncating variant of the forward sweep:
-// Σ_n w(n)·vₙ with vₙ₊₁ = vₙ·P, where each step keeps only an active
-// window of states and drops entries whose mass lies below opts.Truncate,
-// as long as the cumulative dropped mass stays inside the budget share
-// reserved by budgetSplit. vₙ is a sub-distribution (v is one and P is
-// stochastic), so every dropped entry removes exactly its own mass from
-// all later iterates and from the accumulator: the total dropped mass is a
-// sound ℓ1 bound on the truncation error. Callers owe the ledger the
-// returned mass.
+// sweepForward is the forward sweep Σ_n w(n)·vₙ with vₙ₊₁ = vₙ·P, where
+// each step keeps only an active window of states: those its iterate
+// reaches. When opts.Truncate is positive it also drops entries whose
+// mass lies below the threshold, as long as the cumulative dropped mass
+// stays inside the budget share reserved by budgetSplit. vₙ is a
+// sub-distribution (v is one and P is stochastic), so every dropped entry
+// removes exactly its own mass from all later iterates and from the
+// accumulator: the total dropped mass is a sound ℓ1 bound on the
+// truncation error. Callers owe the ledger the returned mass when
+// truncating. Otherwise the drop test is skipped outright: with a
+// threshold of 0 or below, a negative entry would pass it.
 //
 // The step kernel is a row-scatter over the active states via the rows of
 // p — the matrix is read only at the rows the window touches, which is
 // the whole point: cost per step is O(active·row-nnz), not O(nnz). The
 // active lists are kept in ascending state order and the accumulator
-// updates mirror the dense kernels' per-entry arithmetic, so with a
-// threshold too low to drop anything the result equals the dense forward
-// sweep bit for bit (the skipped entries are exact zeros, which add
+// updates follow the per-entry arithmetic of a dense row scatter, so
+// without a drop the result equals the dense scatter series over every
+// state bit for bit (the skipped entries are exact zeros, which add
 // nothing); steady-state detection runs the same |next−cur|∞ < δ test
 // over the union of the two windows.
 //
@@ -115,7 +117,7 @@ func (r *uniformRows) build(s int) {
 // dropped mass and the number of matrix passes.
 //
 //numerics:truncates truncation/state-drop
-func sweepForwardTruncated(p rowSource, v []float64, w *numeric.PoissonWeights, q float64, opts Options) (accOut []float64, dropped float64, products int) {
+func sweepForward(p rowSource, v []float64, w *numeric.PoissonWeights, q float64, opts Options) (accOut []float64, dropped float64, products int) {
 	n := len(v)
 	pool := opts.Pool
 	acc := pool.Get(n)
@@ -133,7 +135,8 @@ func sweepForwardTruncated(p rowSource, v []float64, w *numeric.PoissonWeights, 
 		}
 	}
 	detect := opts.SteadyDetect.enabled()
-	_, steadyEps, truncEps := opts.budgetSplit(true)
+	truncating := opts.truncating()
+	_, steadyEps, truncEps := opts.budgetSplit(truncating)
 	delta := steadyEps / q
 	thr := opts.Truncate
 	peak := len(curList)
@@ -173,18 +176,20 @@ func sweepForwardTruncated(p rowSource, v []float64, w *numeric.PoissonWeights, 
 		// Drop the newly negligible states, eldest-index first, while the
 		// budget lasts. An entry at or above thr always survives, so the
 		// window never loses a state that carries real mass.
-		keep := nextList[:0]
-		for _, t := range nextList {
-			if x := nextVals[t]; x < thr && dropped+x <= truncEps {
-				dropped += x
-				droppedStates++
-				nextVals[t] = 0
-				nextMark[t] = false
-				continue
+		if truncating {
+			keep := nextList[:0]
+			for _, t := range nextList {
+				if x := nextVals[t]; x < thr && dropped+x <= truncEps {
+					dropped += x
+					droppedStates++
+					nextVals[t] = 0
+					nextMark[t] = false
+					continue
+				}
+				keep = append(keep, t)
 			}
-			keep = append(keep, t)
+			nextList = keep
 		}
-		nextList = keep
 		if len(nextList) > peak {
 			peak = len(nextList)
 		}
@@ -242,8 +247,8 @@ func sweepForwardTruncated(p rowSource, v []float64, w *numeric.PoissonWeights, 
 // truncate soundly. The forward orientation is what Options.Truncate needs
 // at scale: when the chain cannot drift far from the start state within t,
 // the active window stays a vanishing fraction of the state space, and the
-// truncated route reads only the window's rows from m (see uniformRows)
-// instead of deriving the absorbing model and its uniformised matrix.
+// sweep reads only the window's rows from m (see uniformRows) instead of
+// deriving the absorbing model and its uniformised matrix.
 //
 //numerics:domain prob t=rate
 func TimeBoundedUntilFrom(m *mrm.MRM, phi, psi *mrm.StateSet, from int, t float64, opts Options) (float64, error) {
@@ -254,7 +259,7 @@ func TimeBoundedUntilFrom(m *mrm.MRM, phi, psi *mrm.StateSet, from int, t float6
 	opts = opts.normalise()
 	init := opts.Pool.Get(m.N())
 	init[from] = 1
-	dist, err := first(run(m, absorb, [][]float64{init}, t, opts, true))
+	dist, err := runForward(m, absorb, init, t, opts)
 	opts.Pool.Put(init)
 	if err != nil {
 		return 0, fmt.Errorf("transient: until-from: %w", err)
