@@ -99,6 +99,9 @@ func run(args []string, out io.Writer) (int, error) {
 		return 1, fmt.Errorf("exactly one formula argument expected, got %d", fs.NArg())
 	}
 	formulaSrc := fs.Arg(0)
+	if !(*epsilon > 0 && *epsilon < 1) {
+		return 1, fmt.Errorf("-epsilon must be an accuracy in (0, 1), got %v", *epsilon)
+	}
 	if !(*truncate >= 0) || math.IsInf(*truncate, 1) {
 		return 1, fmt.Errorf("-truncate must be a finite mass >= 0 (0 = off), got %v", *truncate)
 	}

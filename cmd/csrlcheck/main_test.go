@@ -406,6 +406,21 @@ func TestRunRejectsInvalidTruncate(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidEpsilon pins the -epsilon validation: an accuracy
+// outside (0, 1) or not finite is an error naming the flag. NaN used to
+// reach the Sericola truncation point as N = 0 and print 0 for Q3.
+func TestRunRejectsInvalidEpsilon(t *testing.T) {
+	path := writeStationModel(t)
+	const formula = "P=? [ (call_idle | doze) U{t<=24, r<=550} call_initiated ]"
+	for _, v := range []string{"NaN", "Inf", "-Inf", "0", "-1e-9", "1", "2"} {
+		var out bytes.Buffer
+		code, err := run([]string{"-model", path, "-epsilon", v, formula}, &out)
+		if code != 1 || err == nil || !strings.Contains(err.Error(), "-epsilon") {
+			t.Errorf("-epsilon %s: code %d err %v, want 1 and an error naming the flag", v, code, err)
+		}
+	}
+}
+
 // TestRunRejectsInvalidStep pins the -d validation and the discretisation
 // grid cap: a negative or non-finite step is an error naming the flag, and
 // a step or reward bound whose recursion grids or work exceed the caps

@@ -85,6 +85,9 @@ func run(args []string, out io.Writer) (int, error) {
 		return 1, fmt.Errorf("csrld takes no positional arguments, got %d", fs.NArg())
 	}
 
+	if !(*epsilon > 0 && *epsilon < 1) {
+		return 1, fmt.Errorf("-epsilon must be an accuracy in (0, 1), got %v", *epsilon)
+	}
 	if !(*truncate >= 0) || math.IsInf(*truncate, 1) {
 		return 1, fmt.Errorf("-truncate must be a finite mass >= 0 (0 = off), got %v", *truncate)
 	}

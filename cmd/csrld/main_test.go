@@ -76,6 +76,19 @@ func TestRunRejectsInvalidStep(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidEpsilon pins the -epsilon validation: an accuracy
+// outside (0, 1) or not finite is refused at startup with an error naming
+// the flag.
+func TestRunRejectsInvalidEpsilon(t *testing.T) {
+	for _, v := range []string{"NaN", "Inf", "0", "1"} {
+		var out bytes.Buffer
+		code, err := run([]string{"-epsilon", v, "-smoke"}, &out)
+		if code != 1 || err == nil || !strings.Contains(err.Error(), "-epsilon") {
+			t.Errorf("-epsilon %s: code %d err %v, want 1 and an error naming the flag", v, code, err)
+		}
+	}
+}
+
 func TestRunRejectsInvalidTruncate(t *testing.T) {
 	for _, v := range []string{"-1", "NaN", "Inf"} {
 		var out bytes.Buffer

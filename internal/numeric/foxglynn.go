@@ -57,7 +57,9 @@ func FoxGlynn(q, eps float64) (*PoissonWeights, error) {
 	switch {
 	case math.IsNaN(q) || q < 0:
 		return nil, fmt.Errorf("numeric: FoxGlynn rate %v out of range", q)
-	case eps <= 0 || eps >= 1:
+	case !(eps > 0 && eps < 1):
+		// The negated form also refuses NaN, which would end the tail
+		// searches at once.
 		return nil, fmt.Errorf("numeric: FoxGlynn accuracy %v out of range", eps)
 	case math.IsInf(q, 1):
 		return nil, fmt.Errorf("%w: FoxGlynn rate %v has no finite truncation point", ErrAccuracy, q)
@@ -232,14 +234,16 @@ func foxGlynnLarge(q, eps float64) (*PoissonWeights, error) {
 
 // PoissonTruncation returns the smallest N such that the Poisson(q)
 // distribution has cumulative mass ≥ 1-eps on {0..N}. This is the a-priori
-// step bound N_ε used by the occupation-time algorithm (paper §4.4).
+// step bound N_ε used by the occupation-time algorithm (paper §4.4). An
+// eps outside (0, 1), NaN included, is an error.
 //
 //numerics:truncates sericola/series-remainder
 func PoissonTruncation(q, eps float64) (int, error) {
 	if q < 0 || math.IsNaN(q) {
 		return 0, fmt.Errorf("numeric: PoissonTruncation rate %v out of range", q)
 	}
-	if eps <= 0 || eps >= 1 {
+	// A NaN eps would stop the loop below at once and return N = 0.
+	if !(eps > 0 && eps < 1) {
 		return 0, fmt.Errorf("numeric: PoissonTruncation accuracy %v out of range", eps)
 	}
 	if q == 0 {

@@ -175,6 +175,9 @@ func TestFoxGlynnRejectsBadInput(t *testing.T) {
 	if _, err := FoxGlynn(1, 1.5); err == nil {
 		t.Error("accuracy > 1 accepted")
 	}
+	if _, err := FoxGlynn(1, math.NaN()); err == nil {
+		t.Error("NaN accuracy accepted")
+	}
 }
 
 // TestFoxGlynnRefusesHugeRates pins the step cap: a rate whose right
@@ -225,6 +228,17 @@ func TestPoissonTruncation(t *testing.T) {
 		}
 		if got != row.want {
 			t.Errorf("N(468, %.0e) = %d, paper Table 2 says %d", row.eps, got, row.want)
+		}
+	}
+}
+
+// TestPoissonTruncationRejectsBadAccuracy pins the accuracy guard: an eps
+// outside (0, 1) or not finite is an error. NaN used to slip through the
+// comparisons and return N = 0, which turned a Sericola check into 0.
+func TestPoissonTruncationRejectsBadAccuracy(t *testing.T) {
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1e-9, 1, 1.5} {
+		if n, err := PoissonTruncation(468, eps); err == nil {
+			t.Errorf("PoissonTruncation(468, %v) = %d, want an error", eps, n)
 		}
 	}
 }
