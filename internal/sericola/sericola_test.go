@@ -3,6 +3,7 @@ package sericola
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/performability/csrl/internal/mrm"
@@ -277,5 +278,27 @@ func TestRunSizeCountsPooledCells(t *testing.T) {
 		if got := pool.Stats().AllocBytes; float64(got) != 8*held {
 			t.Errorf("fullWidth=%v: pooled %d bytes, runSize counts %v cells (%v bytes)", fullWidth, got, held, 8*held)
 		}
+	}
+}
+
+// TestLiveRows pins the dead-row predicate the recursion skips by: a
+// zero-reward 2-cycle and the absorbing goal are dead, and a zero-reward
+// state with an edge to a positive-reward state is live, as is every
+// state that reaches one.
+func TestLiveRows(t *testing.T) {
+	// 0 (reward 2) → 1 (reward 0) → 2 (reward 1); 3 ⇄ 4 both reward 0;
+	// 2 → 3 and 2 → 5, the absorbing zero-reward goal.
+	b := mrm.NewBuilder(6)
+	b.Rate(0, 1, 1).Rate(1, 2, 1).Rate(2, 3, 1).Rate(2, 5, 1)
+	b.Rate(3, 4, 1).Rate(4, 3, 2)
+	b.Reward(0, 2).Reward(2, 1)
+	b.Label(5, "goal")
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := liveRows(m, m.Rewards())
+	if want := []int{0, 1, 2}; !slices.Equal(got, want) {
+		t.Errorf("live rows %v, want %v", got, want)
 	}
 }
