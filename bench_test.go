@@ -42,28 +42,33 @@ func q3Setup(b *testing.B) (*mrm.MRM, *mrm.StateSet, int) {
 // BenchmarkTable2Sericola regenerates Table 2: the occupation-time
 // distribution algorithm across error bounds ε at the paper's λ, plus the
 // call the station-p3 benchmark workload makes (the checker's default
-// ε = 1e-9 and the automatic λ).
+// ε = 1e-9 and the automatic λ) and the batched shape of the csrld-sweep
+// workload: two reward bounds sharing t = 24 in one ReachProbBatch call.
+// Every case reports the probability of its first bound.
 func BenchmarkTable2Sericola(b *testing.B) {
 	m, goal, init := q3Setup(b)
+	paper := []float64{adhoc.Q3PaperRewardBound}
 	for _, bc := range []struct {
 		name        string
 		eps, lambda float64
+		rs          []float64
 	}{
-		{"eps=1e-02", 1e-2, adhoc.PaperLambda},
-		{"eps=1e-04", 1e-4, adhoc.PaperLambda},
-		{"eps=1e-08", 1e-8, adhoc.PaperLambda},
-		{"eps=1e-09,lambda=auto", 1e-9, 0},
+		{"eps=1e-02", 1e-2, adhoc.PaperLambda, paper},
+		{"eps=1e-04", 1e-4, adhoc.PaperLambda, paper},
+		{"eps=1e-08", 1e-8, adhoc.PaperLambda, paper},
+		{"eps=1e-09,lambda=auto", 1e-9, 0, paper},
+		{"eps=1e-09,lambda=auto,batch=r300+r600", 1e-9, 0, []float64{300, 600}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var v float64
 			for i := 0; i < b.N; i++ {
-				res, err := sericola.ReachProbAll(m, goal, adhoc.Q3TimeBound, adhoc.Q3PaperRewardBound,
+				res, err := sericola.ReachProbBatch(m, goal, adhoc.Q3TimeBound, bc.rs,
 					sericola.Options{Epsilon: bc.eps, Lambda: bc.lambda})
 				if err != nil {
 					b.Fatal(err)
 				}
-				v = res.Values[init]
+				v = res[0].Values[init]
 			}
 			b.ReportMetric(v, "probability")
 		})
