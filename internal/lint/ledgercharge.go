@@ -14,16 +14,18 @@ import (
 // panic are exempt (the computation's result is discarded), and a function
 // that is itself annotated has passed the charge duty to its callers. The
 // usual `if o.Obs != nil { o.Obs.Charge(...) }` guard counts as charging
-// on both arms: a nil Recorder means observability is off, not that mass
-// went missing.
+// on both arms when every normal path from its true arm charges: a nil
+// Recorder means observability is off, not that mass went missing.
 //
 // The analyzer also validates //numerics:truncates labels against the
 // canonical ledger vocabulary in internal/obs, so an annotation typo is a
 // lint error rather than a silently fragmented report.
 var Ledgercharge = &Analyzer{
-	Name:    "ledgercharge",
-	Doc:     "flags truncating calls whose dropped mass is never charged to the error-budget ledger",
-	Version: 1,
+	Name: "ledgercharge",
+	Doc:  "flags truncating calls whose dropped mass is never charged to the error-budget ledger",
+	// Version 2: a recorder guard charges only when every normal path
+	// from its true arm does.
+	Version: 2,
 	Run:     runLedgercharge,
 }
 
@@ -101,22 +103,26 @@ func unchargedSites(pkg *Package, body *ast.BlockStmt, s *Summaries) []chargeVio
 	info := pkg.Info
 	cfg := pkg.CFG(body)
 
-	// Charging markers: blocks containing a bounded Charge call, plus the
-	// condition nodes of `if recorder != nil { ... Charge ... }` guards —
-	// passing the guard means the charge regime was honoured whichever arm
-	// ran.
-	guarded := guardedCharges(info, body)
+	// Charging markers: nodes holding a bounded Charge call, plus the
+	// condition nodes of `if recorder != nil { ... Charge ... }` guards
+	// whose true arm charges on every normal path — passing such a guard
+	// means the charge regime was honoured whichever arm ran.
 	charging := make([]map[int]bool, len(cfg.Blocks)) // block -> node indices at/after which the path is charged
-	for bi, b := range cfg.Blocks {
-		for ni, node := range b.Nodes {
-			if nodeCharges(info, node) || guarded[nodeExpr(node)] {
-				if charging[bi] == nil {
-					charging[bi] = make(map[int]bool)
+	mark := func(charges func(ast.Node) bool) {
+		for bi, b := range cfg.Blocks {
+			for ni, node := range b.Nodes {
+				if charges(node) {
+					if charging[bi] == nil {
+						charging[bi] = make(map[int]bool)
+					}
+					charging[bi][ni] = true
 				}
-				charging[bi][ni] = true
 			}
 		}
 	}
+	mark(func(node ast.Node) bool { return nodeCharges(info, node) })
+	guarded := guardedCharges(info, body, cfg, charging)
+	mark(func(node ast.Node) bool { return guarded[nodeExpr(node)] })
 
 	var out []chargeViolation
 	for bi, b := range cfg.Blocks {
@@ -275,11 +281,12 @@ func isRecorderType(t types.Type) bool {
 	return false
 }
 
-// guardedCharges finds the `if rec != nil { ... }` guards whose body
-// charges the ledger, keyed by their condition expression (the node the
-// CFG keeps in the branching block).
-func guardedCharges(info *types.Info, body *ast.BlockStmt) map[ast.Expr]bool {
-	out := make(map[ast.Expr]bool)
+// guardedCharges finds the `if rec != nil { ... }` guards of body whose
+// true arm passes a charging marker on every normal path, keyed by their
+// condition expression (the node the CFG keeps in the branching block). A
+// Charge behind a further condition inside the guard does not count.
+func guardedCharges(info *types.Info, body *ast.BlockStmt, cfg *CFG, charging []map[int]bool) map[ast.Expr]bool {
+	guards := make(map[ast.Expr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		ifs, ok := n.(*ast.IfStmt)
 		if !ok {
@@ -298,14 +305,21 @@ func guardedCharges(info *types.Info, body *ast.BlockStmt) map[ast.Expr]bool {
 		default:
 			return true
 		}
-		if !isRecorderType(info.TypeOf(rec)) {
-			return true
-		}
-		if nodeCharges(info, ifs.Body) {
-			out[ifs.Cond] = true
+		if isRecorderType(info.TypeOf(rec)) {
+			guards[ifs.Cond] = true
 		}
 		return true
 	})
+	out := make(map[ast.Expr]bool)
+	for _, b := range cfg.Blocks {
+		if !guards[b.Cond] || b.TrueSucc == nil {
+			continue
+		}
+		w := &chargeWalker{info: info, cfg: cfg, charging: charging, visited: make(map[[2]int]bool)}
+		if _, ok := w.walk(b.TrueSucc.Index, 0, true); ok {
+			out[b.Cond] = true
+		}
+	}
 	return out
 }
 

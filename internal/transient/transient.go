@@ -448,6 +448,7 @@ func runForward(m *mrm.MRM, absorb *mrm.StateSet, v []float64, t float64, opts O
 	span = opts.Obs.StartSpan("transient.sweep")
 	defer span.End()
 	rows := newUniformRows(m, absorb, lambda)
+	//lint:ignore ledgercharge an untruncated sweep drops no mass, so only a truncating one charges the state-drop term below
 	acc, dropped, _ := sweepForward(rows, v, w, lambda*t, opts)
 	if opts.Obs != nil {
 		// An untruncated sweep drops nothing and owes no state-drop term.

@@ -43,6 +43,23 @@ func indicativeOnly(q, eps float64, rec *obs.Recorder) error {
 	return nil
 }
 
+// chargeBehindCondition guards the recorder but charges only when report
+// holds: the recorder-on, report-off path drops the tails silently, so
+// the guard does not count as charging.
+func chargeBehindCondition(q, eps float64, rec *obs.Recorder, report bool) error {
+	w, err := numeric.FoxGlynn(q, eps) // want "not charged to the ledger"
+	if err != nil {
+		return err
+	}
+	if rec != nil {
+		if report {
+			rec.Charge("foxglynn", "left-tail", w.LeftTailMass)
+			rec.Charge("foxglynn", "right-tail", w.RightTailMass)
+		}
+	}
+	return nil
+}
+
 // badLabels carries annotation labels the ledger vocabulary does not know:
 // a typo here silently fragments the numerics report.
 //
