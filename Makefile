@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-github lint-consistency lint-dataflow bench-smoke bench-test serve-smoke fmt vet
+.PHONY: all build test race lint lint-github lint-dataflow bench-smoke bench-test serve-smoke fmt vet
 
 all: build lint test
 
@@ -24,15 +24,10 @@ lint:
 lint-github:
 	$(GO) run ./cmd/mrmlint -github ./...
 
-# go vet's copylocks and mrmlint's mutexcopy approximate the same property
-# from different directions; CI requires both to agree the tree is clean.
-lint-consistency:
-	$(GO) vet -copylocks ./...
-	$(GO) run ./cmd/mrmlint -enable=mutexcopy ./...
-
-# Just the CFG/taint-powered discipline analyzers (they are part of the
-# default `lint` run too; this target isolates them for iterating on the
-# budget/ledger/pool contracts).
+# Just the CFG path analyzers behind the budget, ledger and pool
+# contracts: epsbudget, ledgercharge and poolescape, which follow calls
+# through the per-function summaries (they are part of the default `lint`
+# run too; this target isolates them for iterating on those contracts).
 lint-dataflow:
 	$(GO) run ./cmd/mrmlint -enable=epsbudget,ledgercharge,poolescape ./...
 

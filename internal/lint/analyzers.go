@@ -15,7 +15,6 @@ func All() []*Analyzer {
 		Guardedfield,
 		Ledgercharge,
 		Maporder,
-		Mutexcopy,
 		Poolescape,
 		Probrange,
 	}

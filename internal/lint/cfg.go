@@ -443,52 +443,33 @@ func (c *CFG) Reachable() []bool {
 
 // Dominators returns dom with dom[b][a] reporting that block a dominates
 // block b: every path from Entry to b passes through a. Blocks unreachable
-// from Entry are vacuously dominated by everything.
+// from Entry are vacuously dominated by everything. It is the standard
+// iterative dataflow computation over the predecessor sets.
 func (c *CFG) Dominators() [][]bool {
-	return c.dominance(c.Entry, func(b *CFGBlock) []*CFGBlock { return b.Preds })
-}
-
-// PostDominators returns pd with pd[b][a] reporting that block a
-// post-dominates block b: every path from b to Exit passes through a.
-// Blocks that cannot reach Exit (infinite loops) are vacuously
-// post-dominated by everything.
-func (c *CFG) PostDominators() [][]bool {
-	return c.dominance(c.Exit, func(b *CFGBlock) []*CFGBlock { return b.Succs })
-}
-
-// dominance is the standard iterative dataflow computation of dominator
-// sets over the graph rooted at root, following flow to enumerate the
-// "incoming" neighbours of a block (Preds for dominators over the forward
-// graph, Succs for post-dominators over the reverse graph).
-func (c *CFG) dominance(root *CFGBlock, flow func(*CFGBlock) []*CFGBlock) [][]bool {
 	n := len(c.Blocks)
 	dom := make([][]bool, n)
 	for i := range dom {
 		dom[i] = make([]bool, n)
 		for j := range dom[i] {
-			dom[i][j] = true // start from the universal set; root intersects it away
+			dom[i][j] = true // start from the universal set; Entry intersects it away
 		}
 	}
-	for j := range dom[root.Index] {
-		dom[root.Index][j] = j == root.Index
+	for j := range dom[c.Entry.Index] {
+		dom[c.Entry.Index][j] = j == c.Entry.Index
 	}
 	changed := true
 	for changed {
 		changed = false
 		for _, b := range c.Blocks {
-			if b == root {
-				continue
-			}
-			ins := flow(b)
-			if len(ins) == 0 {
-				continue // unreachable in this direction: stays universal
+			if b == c.Entry || len(b.Preds) == 0 {
+				continue // a predecessor-less block stays universal
 			}
 			for j := 0; j < n; j++ {
 				if j == b.Index || !dom[b.Index][j] {
 					continue
 				}
 				all := true
-				for _, p := range ins {
+				for _, p := range b.Preds {
 					if !dom[p.Index][j] {
 						all = false
 						break

@@ -6,8 +6,123 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"testing"
 )
+
+// This file holds the gen/kill reaching-definitions solution, a test-only
+// oracle: TestSSAAgainstReachingDefs checks SSA use resolution against it.
+
+// A Def is one definition site of a variable: an assignment, a short
+// variable declaration, a var declaration, or a range key/value binding.
+type Def struct {
+	// Obj is the defined variable.
+	Obj types.Object
+	// Node is the statement (or range statement) performing the definition.
+	Node ast.Node
+	// Block is the index of the block containing the definition.
+	Block int
+}
+
+// ReachingDefs holds the classic gen/kill reaching-definitions solution:
+// which definition sites may still be live at each block boundary.
+type ReachingDefs struct {
+	// Defs lists every definition site in the function, in block order.
+	Defs []Def
+	// In[b] and Out[b] are the sets of indices into Defs that reach the
+	// entry and exit of block b; nil for blocks unreachable from Entry.
+	In, Out []map[int]bool
+}
+
+// reachingDefs solves reaching definitions for the CFG by round-robin
+// iteration to a fixed point. info resolves identifiers to objects; only
+// variables declared inside the function (including those bound by range
+// statements) get definition sites — package-level state is out of scope.
+func reachingDefs(c *CFG, info *types.Info) *ReachingDefs {
+	rd := &ReachingDefs{
+		In:  make([]map[int]bool, len(c.Blocks)),
+		Out: make([]map[int]bool, len(c.Blocks)),
+	}
+	defsByObj := make(map[types.Object][]int)
+	gen := make([]map[int]bool, len(c.Blocks))
+	addDef := func(b *CFGBlock, obj types.Object, node ast.Node) {
+		if obj == nil {
+			return
+		}
+		idx := len(rd.Defs)
+		rd.Defs = append(rd.Defs, Def{Obj: obj, Node: node, Block: b.Index})
+		defsByObj[obj] = append(defsByObj[obj], idx)
+		if gen[b.Index] == nil {
+			gen[b.Index] = make(map[int]bool)
+		}
+		// A later definition of the same object in this block kills the
+		// earlier one: drop it from gen before adding the new site.
+		for _, prior := range defsByObj[obj] {
+			delete(gen[b.Index], prior)
+		}
+		gen[b.Index][idx] = true
+	}
+	for _, b := range c.Blocks {
+		for _, n := range b.Nodes {
+			collectDefs(n, info, func(obj types.Object, node ast.Node) { addDef(b, obj, node) })
+		}
+		if b.Range != nil {
+			for _, e := range []ast.Expr{b.Range.Key, b.Range.Value} {
+				if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+					addDef(b, defOrUse(info, id), b.Range)
+				}
+			}
+		}
+	}
+	// transfer kills every other definition of an object the block
+	// defines and adds the block's own definitions.
+	transfer := func(b *CFGBlock, in map[int]bool) map[int]bool {
+		killed := make(map[types.Object]bool)
+		for idx := range gen[b.Index] {
+			killed[rd.Defs[idx].Obj] = true
+		}
+		out := make(map[int]bool, len(in)+len(gen[b.Index]))
+		for idx := range in {
+			if !killed[rd.Defs[idx].Obj] {
+				out[idx] = true
+			}
+		}
+		for idx := range gen[b.Index] {
+			out[idx] = true
+		}
+		return out
+	}
+	reach := c.Reachable()
+	rd.In[c.Entry.Index] = map[int]bool{}
+	rd.Out[c.Entry.Index] = transfer(c.Entry, rd.In[c.Entry.Index])
+	for changed := true; changed; {
+		changed = false
+		for _, b := range c.Blocks {
+			if !reach[b.Index] || b == c.Entry {
+				continue
+			}
+			var in map[int]bool // union over the solved predecessors
+			for _, pred := range b.Preds {
+				if rd.Out[pred.Index] == nil {
+					continue
+				}
+				if in == nil {
+					in = make(map[int]bool)
+				}
+				for idx := range rd.Out[pred.Index] {
+					in[idx] = true
+				}
+			}
+			if in == nil || (rd.In[b.Index] != nil && maps.Equal(in, rd.In[b.Index])) {
+				continue
+			}
+			rd.In[b.Index] = in
+			rd.Out[b.Index] = transfer(b, in)
+			changed = true
+		}
+	}
+	return rd
+}
 
 // typeCheckFunc parses and type-checks a single-function source and returns
 // the function body with its type info.
@@ -75,7 +190,7 @@ func TestReachingDefsJoin(t *testing.T) {
 		return y
 	}`)
 	cfg := BuildCFG(body)
-	rd := cfg.ComputeReachingDefs(info)
+	rd := reachingDefs(cfg, info)
 
 	xDefs := defsOf(rd, "x")
 	if len(xDefs) != 2 {
@@ -113,7 +228,7 @@ func TestReachingDefsLoop(t *testing.T) {
 		return s
 	}`)
 	cfg := BuildCFG(body)
-	rd := cfg.ComputeReachingDefs(info)
+	rd := reachingDefs(cfg, info)
 
 	sDefs := defsOf(rd, "s")
 	if len(sDefs) != 2 {
@@ -147,7 +262,7 @@ func TestRangeBindingDefs(t *testing.T) {
 		return total
 	}`)
 	cfg := BuildCFG(body)
-	rd := cfg.ComputeReachingDefs(info)
+	rd := reachingDefs(cfg, info)
 	vDefs := defsOf(rd, "v")
 	if len(vDefs) != 1 {
 		t.Fatalf("got %d defs of v, want 1", len(vDefs))
@@ -162,9 +277,8 @@ func fakeOrigin(name string) types.Object {
 	return types.NewVar(token.NoPos, nil, name, types.Typ[types.Float64])
 }
 
-// TestTaintLattice exercises the join/clone/equal operations the epsbudget
-// accumulation relies on: join is pointwise max, clone isolates, equality
-// is exact.
+// TestTaintLattice exercises the join and clone operations the epsbudget
+// accumulation relies on: join is pointwise max, clone isolates.
 func TestTaintLattice(t *testing.T) {
 	v, o1, o2 := fakeOrigin("v"), fakeOrigin("eps"), fakeOrigin("delta")
 	a := Taint{v: {o1: 0.5}}
@@ -182,12 +296,5 @@ func TestTaintLattice(t *testing.T) {
 	c[v][o1] = 0.75
 	if a[v][o1] != 0.5 {
 		t.Error("clone shares origin maps with the original")
-	}
-
-	if !equalTaint(a, Taint{v: {o1: 0.5}}) {
-		t.Error("equalTaint rejects an identical fact")
-	}
-	if equalTaint(a, b) || equalTaint(a, Taint{}) {
-		t.Error("equalTaint accepts differing facts")
 	}
 }

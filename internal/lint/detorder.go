@@ -22,25 +22,24 @@ import (
 //
 // A deliberate fan-out-dependent reduction is declared with
 //
-//	//numerics:order-invariant [fanout=<helper>] <reason>
+//	//numerics:order-invariant <reason>
 //
-// on the function. The reason is mandatory. The optional fanout=<helper>
-// token claims the function draws its partition from <helper>; the
-// analyzer verifies the function really calls it with a worker-derived
-// argument, which pins invariants like "this kernel fans out over the
-// same rowCuts partition at every g" in the annotation itself.
+// on the function. The reason, the annotation's whole text, is mandatory.
 var Detorder = &Analyzer{
 	Name: "detorder",
 	Doc:  "flags float reductions whose order depends on the parallel worker count",
-	Run:  runDetorder,
+	// Version 2: the fanout=<helper> claim is gone; the annotation's
+	// whole text is its reason.
+	Version: 2,
+	Run:     runDetorder,
 }
 
 const orderInvariantPrefix = "//numerics:order-invariant"
 
 // parseOrderInvariant extracts a //numerics:order-invariant annotation.
-func parseOrderInvariant(doc *ast.CommentGroup) (fanout, reason string, present bool, pos token.Pos) {
+func parseOrderInvariant(doc *ast.CommentGroup) (reason string, present bool, pos token.Pos) {
 	if doc == nil {
-		return "", "", false, token.NoPos
+		return "", false, token.NoPos
 	}
 	for _, c := range doc.List {
 		if !strings.HasPrefix(c.Text, orderInvariantPrefix) {
@@ -48,21 +47,12 @@ func parseOrderInvariant(doc *ast.CommentGroup) (fanout, reason string, present 
 		}
 		present = true
 		pos = c.Pos()
-		rest := strings.TrimSpace(strings.TrimPrefix(c.Text, orderInvariantPrefix))
-		if i := strings.Index(rest, "//"); i >= 0 {
-			rest = strings.TrimSpace(rest[:i])
+		reason = strings.TrimSpace(strings.TrimPrefix(c.Text, orderInvariantPrefix))
+		if i := strings.Index(reason, "//"); i >= 0 {
+			reason = strings.TrimSpace(reason[:i])
 		}
-		fields := strings.Fields(rest)
-		i := 0
-		if len(fields) > 0 {
-			if f, ok := strings.CutPrefix(fields[0], "fanout="); ok {
-				fanout = f
-				i = 1
-			}
-		}
-		reason = strings.Join(fields[i:], " ")
 	}
-	return fanout, reason, present, pos
+	return reason, present, pos
 }
 
 // workerParamNames are parameter names seeding the worker-count taint.
@@ -193,7 +183,6 @@ func workerTaint(info *types.Info, fd *ast.FuncDecl, fn *types.Func) map[types.O
 }
 
 func runDetorder(pass *Pass) error {
-	cg := pass.pkg.CallGraph()
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -204,67 +193,19 @@ func runDetorder(pass *Pass) error {
 			if !ok {
 				continue
 			}
-			taint := workerTaint(pass.Info, fd, fn)
-			fanout, reason, present, pos := parseOrderInvariant(fd.Doc)
-			if present {
+			if reason, present, pos := parseOrderInvariant(fd.Doc); present {
 				if reason == "" {
 					pass.Reportf(pos, "//numerics:order-invariant on %s needs a reason", fd.Name.Name)
 				}
-				if fanout != "" {
-					verifyFanoutClaim(pass, cg, fn, fd, fanout, taint, pos)
-				}
 				continue // declared: reductions here are accepted as-is
 			}
+			taint := workerTaint(pass.Info, fd, fn)
 			reported := make(map[ast.Node]bool)
 			detWalkLoops(pass, taint, fd.Body, nil, reported)
 			checkParallelTasks(pass, taint, fd.Body, reported)
 		}
 	}
 	return nil
-}
-
-// verifyFanoutClaim checks that an order-invariant annotation claiming
-// fanout=<helper> matches the body: the function must call the helper
-// with a worker-derived argument.
-func verifyFanoutClaim(pass *Pass, cg *CallGraph, fn *types.Func, fd *ast.FuncDecl, fanout string, taint map[types.Object]bool, pos token.Pos) {
-	node := cg.Node(fn)
-	site := node.CallsNamed(fanout)
-	if site == nil {
-		pass.Reportf(pos, "//numerics:order-invariant on %s claims fanout=%s but the function never calls %s",
-			fd.Name.Name, fanout, fanout)
-		return
-	}
-	info := pass.Info
-	var tainted func(e ast.Expr) bool
-	tainted = func(e ast.Expr) bool {
-		switch x := unparen(e).(type) {
-		case *ast.Ident:
-			return taint[defOrUse(info, x)]
-		case *ast.BinaryExpr:
-			return tainted(x.X) || tainted(x.Y)
-		case *ast.UnaryExpr:
-			return tainted(x.X)
-		case *ast.CallExpr:
-			if isWorkerSourceCall(info, x) {
-				return true
-			}
-			for _, a := range x.Args {
-				if tainted(a) {
-					return true
-				}
-			}
-		case *ast.SelectorExpr:
-			return x.Sel.Name == "Workers" || taint[info.Uses[x.Sel]]
-		}
-		return false
-	}
-	for _, a := range site.Call.Args {
-		if tainted(a) {
-			return
-		}
-	}
-	pass.Reportf(pos, "//numerics:order-invariant on %s claims fanout=%s but no argument of the %s call is worker-derived",
-		fd.Name.Name, fanout, fanout)
 }
 
 // detWalkLoops walks a body tracking the enclosing worker-count-shaped

@@ -665,3 +665,40 @@ func loopMembers(c *CFG, back map[[2]int]bool) map[int]bool {
 	}
 	return members
 }
+
+// Taint is a value-taint fact: for each tracked variable, the fraction of
+// each taint origin the variable carries (join = pointwise max). The
+// epsbudget analyzer instantiates origins as ε-parameters and fractions as
+// the constant multipliers applied to them.
+type Taint map[types.Object]map[types.Object]float64
+
+// clone deep-copies a taint fact.
+func (t Taint) clone() Taint {
+	out := make(Taint, len(t))
+	for v, origins := range t {
+		m := make(map[types.Object]float64, len(origins))
+		for o, f := range origins {
+			m[o] = f
+		}
+		out[v] = m
+	}
+	return out
+}
+
+// joinTaint merges two taint facts by pointwise max.
+func joinTaint(a, b Taint) Taint {
+	out := a.clone()
+	for v, origins := range b {
+		m, ok := out[v]
+		if !ok {
+			m = make(map[types.Object]float64, len(origins))
+			out[v] = m
+		}
+		for o, f := range origins {
+			if f > m[o] {
+				m[o] = f
+			}
+		}
+	}
+	return out
+}

@@ -102,10 +102,6 @@ func (p *Pass) CFG(body *ast.BlockStmt) *CFG { return p.pkg.CFG(body) }
 // Summaries returns the package's interprocedural summary cache.
 func (p *Pass) Summaries() *Summaries { return p.pkg.Summaries() }
 
-// CallGraph returns the package's call graph (see CallGraph), cached per
-// package like CFG and Summaries.
-func (p *Pass) CallGraph() *CallGraph { return p.pkg.CallGraph() }
-
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.ReportRangef(pos, pos, format, args...)

@@ -108,27 +108,31 @@ func checkGolden(t *testing.T, relFile string, diags []lint.Diagnostic) {
 	}
 }
 
-func TestGoldenFiles(t *testing.T) {
-	l := newLoader(t)
-	fakePath := l.ModulePath + "/internal/fake"
-	cases := []struct {
-		file      string
-		pkgPath   string
-		analyzer  string
-		goVersion string
-	}{
+// goldenCase is one testdata/lint file, the import path it is
+// type-checked under and the analyzer run over it.
+type goldenCase struct {
+	file      string
+	pkgPath   string
+	analyzer  string
+	goVersion string
+}
+
+// goldenCases lists the golden files under module path mod.
+func goldenCases(mod string) []goldenCase {
+	fakePath := mod + "/internal/fake"
+	return []goldenCase{
 		{file: "floatcmp/positive.go", pkgPath: fakePath, analyzer: "floatcmp"},
 		{file: "floatcmp/negative.go", pkgPath: fakePath, analyzer: "floatcmp"},
 		{file: "expunderflow/positive.go", pkgPath: fakePath, analyzer: "expunderflow"},
-		{file: "expunderflow/negative.go", pkgPath: l.ModulePath + "/internal/numeric", analyzer: "expunderflow"},
+		{file: "expunderflow/negative.go", pkgPath: mod + "/internal/numeric", analyzer: "expunderflow"},
 		{file: "expunderflow/negative_outside.go", pkgPath: fakePath, analyzer: "expunderflow"},
 		{file: "droppederr/positive.go", pkgPath: fakePath, analyzer: "droppederr"},
 		{file: "droppederr/negative.go", pkgPath: fakePath, analyzer: "droppederr"},
-		{file: "aliasret/positive.go", pkgPath: l.ModulePath + "/internal/sparse", analyzer: "aliasret"},
-		{file: "aliasret/negative.go", pkgPath: l.ModulePath + "/internal/sparse", analyzer: "aliasret"},
+		{file: "aliasret/positive.go", pkgPath: mod + "/internal/sparse", analyzer: "aliasret"},
+		{file: "aliasret/negative.go", pkgPath: mod + "/internal/sparse", analyzer: "aliasret"},
 		{file: "aliasret/negative_otherpkg.go", pkgPath: fakePath, analyzer: "aliasret"},
 		{file: "bannedcall/positive.go", pkgPath: fakePath, analyzer: "bannedcall"},
-		{file: "bannedcall/negative.go", pkgPath: l.ModulePath + "/cmd/fake", analyzer: "bannedcall"},
+		{file: "bannedcall/negative.go", pkgPath: mod + "/cmd/fake", analyzer: "bannedcall"},
 		{file: "guardedfield/positive.go", pkgPath: fakePath, analyzer: "guardedfield"},
 		{file: "guardedfield/negative.go", pkgPath: fakePath, analyzer: "guardedfield"},
 		{file: "goroutinemisuse/positive.go", pkgPath: fakePath, analyzer: "goroutinemisuse"},
@@ -136,8 +140,6 @@ func TestGoldenFiles(t *testing.T) {
 		{file: "goroutinemisuse/capture_old.go", pkgPath: fakePath, analyzer: "goroutinemisuse", goVersion: "1.21"},
 		{file: "maporder/positive.go", pkgPath: fakePath, analyzer: "maporder"},
 		{file: "maporder/negative.go", pkgPath: fakePath, analyzer: "maporder"},
-		{file: "mutexcopy/positive.go", pkgPath: fakePath, analyzer: "mutexcopy"},
-		{file: "mutexcopy/negative.go", pkgPath: fakePath, analyzer: "mutexcopy"},
 		{file: "ignore/suppressed.go", pkgPath: fakePath, analyzer: "floatcmp"},
 		{file: "ignore/multiline.go", pkgPath: fakePath, analyzer: "floatcmp"},
 		{file: "epsbudget/positive.go", pkgPath: fakePath, analyzer: "epsbudget"},
@@ -157,8 +159,11 @@ func TestGoldenFiles(t *testing.T) {
 		{file: "detorder/negative.go", pkgPath: fakePath, analyzer: "detorder"},
 		{file: "detorder/suppressed.go", pkgPath: fakePath, analyzer: "detorder"},
 	}
-	for _, tc := range cases {
-		tc := tc
+}
+
+func TestGoldenFiles(t *testing.T) {
+	l := newLoader(t)
+	for _, tc := range goldenCases(l.ModulePath) {
 		t.Run(strings.ReplaceAll(tc.file, "/", "_"), func(t *testing.T) {
 			diags := loadGoldenVersion(t, l, tc.file, tc.pkgPath, tc.analyzer, tc.goVersion)
 			checkGolden(t, tc.file, diags)
@@ -230,13 +235,26 @@ func TestAnalyzerRegistry(t *testing.T) {
 	if lint.ByName("nosuch") != nil {
 		t.Error("ByName of an unknown analyzer should be nil")
 	}
-	for _, required := range []string{
-		"floatcmp", "expunderflow", "droppederr", "aliasret", "bannedcall",
-		"guardedfield", "goroutinemisuse", "maporder", "mutexcopy",
-		"epsbudget", "ledgercharge", "poolescape",
-	} {
-		if !seen[required] {
-			t.Errorf("required analyzer %q missing from registry", required)
+	// Every analyzer has a positive golden case, and every golden
+	// directory (ignore, the directive fixtures, aside) names an analyzer.
+	positive := make(map[string]bool)
+	for _, tc := range goldenCases("") {
+		if strings.HasPrefix(filepath.Base(tc.file), "positive") {
+			positive[tc.analyzer] = true
+		}
+	}
+	for _, a := range all {
+		if !positive[a.Name] {
+			t.Errorf("analyzer %q has no positive case in TestGoldenFiles", a.Name)
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join(newLoader(t).ModuleDir, "testdata", "lint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() && e.Name() != "ignore" && lint.ByName(e.Name()) == nil {
+			t.Errorf("testdata/lint/%s names no registered analyzer", e.Name())
 		}
 	}
 }

@@ -36,7 +36,6 @@ type Package struct {
 	sums *Summaries
 	cfgs map[*ast.BlockStmt]*CFG
 	ssas map[*ast.BlockStmt]*SSA
-	cg   *CallGraph
 }
 
 // Inspector returns the package's shared traversal, building it on first

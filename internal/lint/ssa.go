@@ -6,9 +6,9 @@ import (
 	"sort"
 )
 
-// This file grows the PR 6 CFG layer into pruned SSA form. The numeric-
-// domain analyzers (domainflow, probrange) need per-use value identity —
-// "which assignment produced the value this expression reads" — which the
+// This file grows the CFG layer into pruned SSA form. The numeric-domain
+// analyzers (domainflow, probrange) need per-use value identity — "which
+// assignment produced the value this expression reads" — which a
 // block-granular reaching-definitions solution cannot give them: a block
 // with two writes to s exposes only the last one, and a use between them
 // sees neither. SSA versions every definition, places φ-functions at
@@ -31,9 +31,9 @@ import (
 //  4. renaming walks the dominator tree with one version stack per
 //     variable.
 //
-// Function literals stay opaque, exactly as in the CFG and dataflow
-// layers: a FuncLit body is a separate function with its own CFG and its
-// own SSA; uses of captured variables inside it are not versioned (a
+// Function literals stay opaque, exactly as in the CFG layer: a FuncLit
+// body is a separate function with its own CFG and its own SSA; uses of
+// captured variables inside it are not versioned (a
 // capture observes whatever version is current when the closure runs,
 // which no intraprocedural numbering can name).
 
@@ -626,4 +626,46 @@ func blockLiveIn(cfg *CFG, info *types.Info, tracked map[*types.Var]bool, reach 
 		}
 	}
 	return in
+}
+
+// collectDefs reports the variables a block node defines (assignment LHS
+// identifiers, short declarations, var/const specs). Function literals are
+// opaque: their bodies are separate functions with their own CFGs.
+func collectDefs(n ast.Node, info *types.Info, emit func(types.Object, ast.Node)) {
+	switch s := n.(type) {
+	case *ast.AssignStmt:
+		for _, lhs := range s.Lhs {
+			if id, ok := unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
+				emit(defOrUse(info, id), s)
+			}
+		}
+	case *ast.DeclStmt:
+		gd, ok := s.Decl.(*ast.GenDecl)
+		if !ok {
+			return
+		}
+		for _, spec := range gd.Specs {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok {
+				continue
+			}
+			for _, name := range vs.Names {
+				if name.Name != "_" {
+					emit(info.Defs[name], s)
+				}
+			}
+		}
+	case *ast.IncDecStmt:
+		if id, ok := unparen(s.X).(*ast.Ident); ok {
+			emit(defOrUse(info, id), s)
+		}
+	}
+}
+
+// defOrUse resolves an identifier on the left of := (a Def) or = (a Use).
+func defOrUse(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
 }

@@ -228,7 +228,7 @@ func TestImmediateDominators(t *testing.T) {
 }
 
 // TestSSAAgainstReachingDefs cross-checks SSA use resolution against the
-// PR 6 gen/kill reaching-definitions solution on the shared fixtures: the
+// gen/kill reaching-definitions oracle on the shared fixtures: the
 // concrete definition sites behind every SSA use must be a subset of the
 // definitions the block-granular solver says may reach that use, and a
 // use resolved to a single non-φ definition must be reported reachable by
@@ -237,7 +237,7 @@ func TestSSAAgainstReachingDefs(t *testing.T) {
 	for fi, src := range ssaFixtures {
 		s, _, info := buildFixtureSSA(t, src)
 		cfg := s.CFG
-		rd := cfg.ComputeReachingDefs(info)
+		rd := reachingDefs(cfg, info)
 		// Index the RD defs by (object, node) for membership tests.
 		type defKey struct {
 			obj  types.Object

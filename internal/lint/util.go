@@ -90,17 +90,6 @@ func isZeroConst(info *types.Info, e ast.Expr) bool {
 	return false
 }
 
-// enclosingFuncName returns the name of the nearest enclosing function
-// declaration on the stack, or "".
-func enclosingFuncName(stack []ast.Node) string {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd.Name.Name
-		}
-	}
-	return ""
-}
-
 // isInternalPath reports whether an import path names a package under an
 // internal/ tree (the module's own numerical libraries).
 func isInternalPath(path string) bool {

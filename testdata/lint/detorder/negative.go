@@ -1,6 +1,6 @@
 // Negative cases for the detorder analyzer: per-iteration accumulators,
-// non-worker loops, integer folds, per-element parallel writes and a
-// verified order-invariant annotation all stay silent.
+// non-worker loops, integer folds, per-element parallel writes and an
+// order-invariant annotation with a reason all stay silent.
 package fake
 
 import "github.com/performability/csrl/internal/parallel"
@@ -14,10 +14,9 @@ func rowCuts(n, t int) []int {
 	return cuts
 }
 
-// tFold deliberately folds per-worker partials; the fan-out is pinned to
-// the rowCuts partition, and the claim is verified against the body.
+// tFold deliberately folds per-worker partials over the rowCuts partition.
 //
-//numerics:order-invariant fanout=rowCuts the partition is pinned by rowCuts so block and vector paths agree
+//numerics:order-invariant the partition is pinned by rowCuts so block and vector paths agree
 func tFold(xs []float64, workers int) float64 {
 	cuts := rowCuts(len(xs), workers)
 	s := 0.0

@@ -74,27 +74,3 @@ func badReason(partials []float64, workers int) float64 {
 	}
 	return s
 }
-
-// The fanout claim names a helper the function never calls.
-//
-//numerics:order-invariant fanout=rowCuts partials are partition sums // want "never calls rowCuts"
-func falseClaim(partials []float64, workers int) float64 {
-	s := 0.0
-	for w := 0; w < workers; w++ {
-		s += partials[w]
-	}
-	return s
-}
-
-// The fanout claim names a helper the function calls, but not with a
-// worker-derived argument.
-//
-//numerics:order-invariant fanout=rowCuts the partition is fixed // want "no argument of the rowCuts call is worker-derived"
-func staleClaim(partials []float64, workers int) float64 {
-	cuts := rowCuts(len(partials), 4)
-	s := 0.0
-	for w := 0; w < workers; w++ {
-		s += partials[cuts[0]+w]
-	}
-	return s
-}
