@@ -7,7 +7,6 @@ import (
 	"github.com/performability/csrl/internal/adhoc"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/sparse"
-	"github.com/performability/csrl/internal/transient"
 )
 
 // TestBatchedSericolaBitwiseEqualsVectorPathOnAdhoc is the PR's exactness
@@ -48,54 +47,6 @@ func TestBatchedSericolaBitwiseEqualsVectorPathOnAdhoc(t *testing.T) {
 				if math.Float64bits(batch[ri].Values[s]) != math.Float64bits(single.Values[s]) {
 					t.Errorf("workers=%d r=%v state %d: batched %v vs single %v not bitwise equal",
 						workers, rb, s, batch[ri].Values[s], single.Values[s])
-				}
-			}
-		}
-	}
-}
-
-// TestBlockTransientBitwiseEqualsVectorPathOnAdhoc runs the block-threaded
-// backward sweep (g > 1) on the ad-hoc model against one g = 1 call per
-// vector, with several weighting vectors (among them the goal indicator,
-// i.e. ReachProbAll's input) and steady-state detection both off and in
-// its default mode.
-func TestBlockTransientBitwiseEqualsVectorPathOnAdhoc(t *testing.T) {
-	red, err := adhoc.Q3Reduced()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := red.Model
-	goal := m.Label("goal")
-	n := m.N()
-	tb := adhoc.Q3TimeBound
-
-	ind := make([]float64, n)
-	goal.Each(func(s int) { ind[s] = 1 })
-	ramp := make([]float64, n)
-	half := make([]float64, n)
-	for i := range ramp {
-		ramp[i] = float64(i+1) / float64(n)
-		half[i] = 0.5
-	}
-	vs := [][]float64{ind, ramp, half}
-
-	for _, mode := range []transient.SteadyMode{transient.SteadyOff, transient.SteadyAuto} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			opts := transient.Options{Epsilon: 1e-10, Workers: workers, SteadyDetect: mode, Pool: sparse.NewVecPool()}
-			multi, err := transient.BackwardWeightedMulti(m, vs, tb, opts)
-			if err != nil {
-				t.Fatalf("mode=%v workers=%d: backward multi: %v", mode, workers, err)
-			}
-			for j, v := range vs {
-				single, err := transient.BackwardWeighted(m, v, tb, opts)
-				if err != nil {
-					t.Fatalf("mode=%v workers=%d vec=%d: backward single: %v", mode, workers, j, err)
-				}
-				for s := range single {
-					if math.Float64bits(multi[j][s]) != math.Float64bits(single[s]) {
-						t.Errorf("mode=%v workers=%d vec=%d state %d: block %v vs vector %v not bitwise equal",
-							mode, workers, j, s, multi[j][s], single[s])
-					}
 				}
 			}
 		}

@@ -2,10 +2,10 @@ package sparse
 
 import "math"
 
-// The vector kernels below are the reference the block kernels are pinned
-// against, kept here as test oracles: the block kernels must reproduce
-// them bit for bit, column by column, at every g (including g = 1, where
-// the kernels take their register specialisations) and every workers
+// The vector kernels below are the reference the row kernels are pinned
+// against, kept here as test oracles: MulBlockRows must reproduce them bit
+// for bit, column by column, at every g (including g = 1, where it takes
+// its register specialisation), and a SweepPlan step at every workers
 // value.
 
 // mulVec computes dst = M·x by one register dot product per row.
@@ -36,27 +36,21 @@ func mulVecT(m *CSR, dst, x []float64) {
 	}
 }
 
-// vecBlock wraps x as an n×1 block sharing its storage, so a vector can
-// go through the block kernels without a copy.
-func vecBlock(x []float64) *Block {
-	return &Block{n: len(x), g: 1, data: x, slab: x}
-}
-
 // planMul computes dst = M·src by one step of a SweepPlan at the given
 // workers value, the partitioned product of every backward sweep. Seed
 // writes the fixed rows, which the step leaves out.
-func planMul(m *CSR, dst, src *Block, workers int) {
-	p := NewSweepPlan(m, src.g, workers)
-	p.Seed(src, dst)
-	p.Step(dst, src, 0, nil, nil, nil)
+func planMul(m *CSR, dst, src []float64, workers int) {
+	p := NewSweepPlan(m, workers)
+	p.Seed(dst, src)
+	p.Step(dst, src, 0, nil)
 }
 
-// colMaxDiff returns max_i |b[i,j] − o[i,j]| in ascending row order, the
-// separate steady-test pass the fused sweep step replaces.
-func colMaxDiff(b, o *Block, j int) float64 {
+// maxDiff returns max_i |a[i] − b[i]| in ascending row order, the separate
+// steady-test pass the fused sweep step replaces.
+func maxDiff(a, b []float64) float64 {
 	var mx float64
-	for i := 0; i < b.n; i++ {
-		if d := math.Abs(b.At(i, j) - o.At(i, j)); d > mx {
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > mx {
 			mx = d
 		}
 	}

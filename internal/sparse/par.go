@@ -2,8 +2,8 @@ package sparse
 
 import "sort"
 
-// parGrain is the minimum amount of work (stored entries, times the
-// columns a step advances) before the parallel kernels fan out;
+// parGrain is the minimum amount of work (stored entries a step reads)
+// before the parallel kernels fan out;
 // below it the scheduling overhead dominates and one worker runs the whole
 // row range.
 const parGrain = 1024

@@ -45,7 +45,7 @@ func randomVec(n int, seed uint64) []float64 {
 }
 
 // TestMulVecParMatchesSequentialBitwise pins the vector product — a
-// sweep-plan step at g = 1 — against the sequential oracle at every
+// sweep-plan step — against the sequential oracle at every
 // workers value: the row partition must not move a bit.
 func TestMulVecParMatchesSequentialBitwise(t *testing.T) {
 	for _, n := range []int{1, 3, 50, 400} {
@@ -55,7 +55,7 @@ func TestMulVecParMatchesSequentialBitwise(t *testing.T) {
 		mulVec(m, want, x)
 		for _, workers := range []int{0, 1, 2, 3, 7, 16, 100} {
 			got := make([]float64, n)
-			planMul(m, vecBlock(got), vecBlock(x), workers)
+			planMul(m, got, x, workers)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d workers=%d: dst[%d] = %g, sequential %g (must be bitwise equal)",
@@ -89,7 +89,7 @@ func TestParKernelsSmallMatrixFallback(t *testing.T) {
 	want := make([]float64, 5)
 	got := make([]float64, 5)
 	mulVec(m, want, x)
-	planMul(m, vecBlock(got), vecBlock(x), 8)
+	planMul(m, got, x, 8)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("small plan step mismatch at %d", i)

@@ -48,121 +48,88 @@ func planCSR(t *testing.T, n int, seed uint64) (*CSR, []int) {
 	return m, fixed
 }
 
-// planSrc returns the start block: random values, −0, a negative and a
+// planSrc returns the start vector: random values, −0, a negative and a
 // > 1 entry on fixed rows, and Inf at row n−1.
-func planSrc(n, g int, fixed []int, seed uint64) *Block {
-	b := randomBlock(n, g, seed)
-	for j := 0; j < g; j++ {
-		b.Set(fixed[0], j, math.Copysign(0, -1))
-		b.Set(fixed[1], j, -0.75)
-		b.Set(fixed[3], j, 3.5)
-		b.Set(n-1, j, math.Inf(1))
-	}
-	return b
-}
-
-func cloneBlock(b *Block) *Block {
-	c := NewBlock(b.n, b.g, nil)
-	copy(c.data, b.data)
-	return c
+func planSrc(n int, fixed []int, seed uint64) []float64 {
+	v := randomBlock(n, 1, seed)
+	v[fixed[0]] = math.Copysign(0, -1)
+	v[fixed[1]] = -0.75
+	v[fixed[3]] = 3.5
+	v[n-1] = math.Inf(1)
+	return v
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestSweepPlanMatchesUnfusedKernels pins the fused plan step against the
 // unfused sequence it replaces — the row kernel MulBlockRows over every
-// row, then ColAXPY per column, then the colMaxDiff oracle — bit for bit,
-// over three steps with a column dropped after the first, for every
-// shape, worker count — an odd one among them, so the parts are not a
-// power-of-two split — and with the accumulate on and off.
+// row, then AXPY, then the maxDiff oracle — bit for bit, over three steps,
+// at every worker count — an odd one among them, so the parts are not a
+// power-of-two split — and with the accumulate on and off. The subtest
+// names carry the vector's width, g=1.
 func TestSweepPlanMatchesUnfusedKernels(t *testing.T) {
 	const n = 400
-	for _, g := range []int{1, 3} {
-		for _, workers := range []int{1, 2, 3, 4} {
-			for _, accumulate := range []bool{false, true} {
-				name := fmt.Sprintf("g=%d workers=%d accumulate=%v", g, workers, accumulate)
-				t.Run(name, func(t *testing.T) {
-					// Several start blocks, so the column maxima land on
-					// many different rows.
-					for seed := uint64(1); seed <= 8; seed++ {
-						checkPlanAgainstOracle(t, n, g, workers, accumulate, seed)
-					}
-				})
-			}
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, accumulate := range []bool{false, true} {
+			name := fmt.Sprintf("g=1 workers=%d accumulate=%v", workers, accumulate)
+			t.Run(name, func(t *testing.T) {
+				// Several start vectors, so the maxima land on many
+				// different rows.
+				for seed := uint64(1); seed <= 8; seed++ {
+					checkPlanAgainstOracle(t, n, workers, accumulate, seed)
+				}
+			})
 		}
 	}
 }
 
-func checkPlanAgainstOracle(t *testing.T, n, g, workers int, accumulate bool, seed uint64) {
-	m, fixed := planCSR(t, n, uint64(n+g))
-	plan := NewSweepPlan(m, g, workers)
+func checkPlanAgainstOracle(t *testing.T, n, workers int, accumulate bool, seed uint64) {
+	m, fixed := planCSR(t, n, uint64(n+1))
+	plan := NewSweepPlan(m, workers)
 	if fmt.Sprint(plan.fixed) != fmt.Sprint(fixed) {
 		t.Fatalf("fixed rows %v, want %v", plan.fixed, fixed)
 	}
-	checkPlanSteps(t, m, planSrc(n, g, fixed, 7*seed+uint64(g)), workers, accumulate)
+	checkPlanSteps(t, m, planSrc(n, fixed, 7*seed+1), workers, accumulate)
 }
 
 // checkPlanSteps runs three steps of a plan on m from src and of the
-// unfused oracle, dropping a column after the first when g > 1, and fails
-// on the first element, accumulator or column maximum whose bits differ.
-func checkPlanSteps(t *testing.T, m *CSR, src *Block, workers int, accumulate bool) {
+// unfused oracle, and fails on the first element, accumulator or maximum
+// whose bits differ.
+func checkPlanSteps(t *testing.T, m *CSR, src []float64, workers int, accumulate bool) {
 	t.Helper()
-	n, g := src.n, src.g
-	// The plan's and the oracle's own blocks and accumulators. The
+	n := len(src)
+	// The plan's and the oracle's own vectors and accumulators. The
 	// accumulators start from random values: the sweep's start from +0,
 	// and neither holds −0, the one value the seeding's 0 + 1·v could
 	// change an accumulate on.
-	pCur, pNext := cloneBlock(src), NewBlock(n, g, nil)
-	oCur, oNext := cloneBlock(src), NewBlock(n, g, nil)
-	pAccs, oAccs := make([][]float64, g), make([][]float64, g)
-	for j := range pAccs {
-		pAccs[j] = randomVec(n, uint64(j+3))
-		oAccs[j] = Clone(pAccs[j])
-	}
-	active := make([]int, g)
-	for j := range active {
-		active[j] = j
-	}
-	plan := NewSweepPlan(m, g, workers)
-	plan.Seed(pCur, pNext)
-	diffs := make([]float64, g)
+	pCur, pNext := Clone(src), make([]float64, n)
+	oCur, oNext := Clone(src), make([]float64, n)
+	pAcc := randomVec(n, 3)
+	oAcc := Clone(pAcc)
+	plan := NewSweepPlan(m, workers)
+	plan.Seed(pNext, pCur)
 	for step := 0; step < 3; step++ {
 		weight := 0.25 + float64(step)/8
-		var stepAccs [][]float64
+		var stepAcc []float64
 		if accumulate {
-			stepAccs = pAccs
+			stepAcc = pAcc
 		}
-		plan.Step(pNext, pCur, weight, stepAccs, active, diffs)
+		diff := plan.Step(pNext, pCur, weight, stepAcc)
 
-		m.MulBlockRows(oNext.data, oCur.data, oCur.g, 0, n)
-		for c, j := range active {
-			if accumulate {
-				oCur.ColAXPY(weight, c, oAccs[j])
-			}
-			if want := colMaxDiff(oNext, oCur, c); !sameBits(diffs[c], want) {
-				t.Fatalf("step %d column %d: diff %v, oracle %v", step, c, diffs[c], want)
-			}
+		m.MulBlockRows(oNext, oCur, 1, 0, n)
+		if accumulate {
+			AXPY(weight, oCur, oAcc)
+		}
+		if want := maxDiff(oNext, oCur); !sameBits(diff, want) {
+			t.Fatalf("step %d: diff %v, oracle %v", step, diff, want)
 		}
 		for i := 0; i < n; i++ {
-			for c := range active {
-				if got, want := pNext.At(i, c), oNext.At(i, c); !sameBits(got, want) {
-					t.Fatalf("step %d: next[%d,%d] = %v, oracle %v", step, i, c, got, want)
-				}
+			if !sameBits(pNext[i], oNext[i]) {
+				t.Fatalf("step %d: next[%d] = %v, oracle %v", step, i, pNext[i], oNext[i])
 			}
-		}
-		for j := range pAccs {
-			for i := 0; i < n; i++ {
-				if !sameBits(pAccs[j][i], oAccs[j][i]) {
-					t.Fatalf("step %d: acc %d [%d] = %v, oracle %v", step, j, i, pAccs[j][i], oAccs[j][i])
-				}
+			if !sameBits(pAcc[i], oAcc[i]) {
+				t.Fatalf("step %d: acc[%d] = %v, oracle %v", step, i, pAcc[i], oAcc[i])
 			}
-		}
-		if step == 0 && g > 1 {
-			// A converged column leaves mid-sweep: both sides compact.
-			for _, b := range []*Block{pCur, pNext, oCur, oNext} {
-				b.DropCol(1)
-			}
-			active = append(active[:1], active[2:]...)
 		}
 		pCur, pNext = pNext, pCur
 		oCur, oNext = oNext, oCur
@@ -170,18 +137,42 @@ func checkPlanSteps(t *testing.T, m *CSR, src *Block, workers int, accumulate bo
 }
 
 // TestSweepPlanSeedsFixedRows pins the seeding: a fixed row holds
-// 0 + 1·v[i] in both blocks, so −0 becomes +0 and every other value stays.
+// 0 + 1·v[i] in both vectors, so −0 becomes +0 and every other value
+// stays.
 func TestSweepPlanSeedsFixedRows(t *testing.T) {
 	const n = 40
 	m, fixed := planCSR(t, n, 5)
-	cur := planSrc(n, 1, fixed, 9)
-	next := NewBlock(n, 1, nil)
-	wants := []float64{0, -0.75, cur.At(fixed[2], 0), 3.5}
-	NewSweepPlan(m, 1, 1).Seed(cur, next)
+	cur := planSrc(n, fixed, 9)
+	next := make([]float64, n)
+	wants := []float64{0, -0.75, cur[fixed[2]], 3.5}
+	NewSweepPlan(m, 1).Seed(next, cur)
 	for k, want := range wants {
 		i := fixed[k]
-		if !sameBits(cur.At(i, 0), want) || !sameBits(next.At(i, 0), want) {
-			t.Fatalf("fixed row %d: cur %v, next %v, want %v", i, cur.At(i, 0), next.At(i, 0), want)
+		if !sameBits(cur[i], want) || !sameBits(next[i], want) {
+			t.Fatalf("fixed row %d: cur %v, next %v, want %v", i, cur[i], next[i], want)
+		}
+	}
+}
+
+// TestSweepPlanStepMatchesMulVecBitwise pins the product of a sweep-plan
+// step, partitioned or not, against the vector oracle.
+func TestSweepPlanStepMatchesMulVecBitwise(t *testing.T) {
+	for _, n := range []int{1, 50, 400} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			m := randomCSR(t, n, 8, uint64(n*17)+seed)
+			src := randomBlock(n, 1, uint64(n*7)+seed)
+			want := make([]float64, n)
+			mulVec(m, want, src)
+			for _, workers := range []int{0, 1, 2, 4, 8} {
+				dst := make([]float64, n)
+				planMul(m, dst, src, workers)
+				for i := 0; i < n; i++ {
+					if dst[i] != want[i] {
+						t.Fatalf("n=%d seed=%d workers=%d: dst[%d] = %g, mulVec %g (must be bitwise equal)",
+							n, seed, workers, i, dst[i], want[i])
+					}
+				}
+			}
 		}
 	}
 }

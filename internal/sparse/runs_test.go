@@ -63,7 +63,7 @@ func runsOf(p *SweepPlan) [][2]int {
 // next row, and so joins its run.
 func TestSweepPlanFindsErlangRuns(t *testing.T) {
 	const states, k = 5, 8
-	p := NewSweepPlan(erlangCSR(t, states, k, false), 1, 1)
+	p := NewSweepPlan(erlangCSR(t, states, k, false), 1)
 	var want [][2]int
 	for s := 0; s < states; s++ {
 		want = append(want, [2]int{s * k, s*k + k - 1})
@@ -78,7 +78,7 @@ func TestSweepPlanFindsErlangRuns(t *testing.T) {
 	if fmt.Sprint(p.fixed) != fmt.Sprint([]int{states * k}) {
 		t.Fatalf("fixed rows %v, want the barrier", p.fixed)
 	}
-	if p := NewSweepPlan(erlangCSR(t, states, k, true), 1, 1); len(runsOf(p)) != 0 {
+	if p := NewSweepPlan(erlangCSR(t, states, k, true), 1); len(runsOf(p)) != 0 {
 		t.Fatalf("ulp-broken matrix has runs %v", runsOf(p))
 	}
 }
@@ -154,14 +154,12 @@ func TestSweepPlanRunBreaks(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := shiftCSR(t, n, tc.edit)
-			p := NewSweepPlan(m, 1, 1)
+			p := NewSweepPlan(m, 1)
 			if fmt.Sprint(runsOf(p)) != fmt.Sprint(tc.want) {
 				t.Fatalf("runs %v, want %v", runsOf(p), tc.want)
 			}
-			for _, g := range []int{1, 3} {
-				for _, workers := range []int{1, 2, 4} {
-					checkPlanSteps(t, m, runSrc(n, g), workers, true)
-				}
+			for _, workers := range []int{1, 2, 4} {
+				checkPlanSteps(t, m, runSrc(n), workers, true)
 			}
 		})
 	}
@@ -169,41 +167,39 @@ func TestSweepPlanRunBreaks(t *testing.T) {
 
 // TestSweepPlanRunsMatchRowKernel pins the run kernel against the per-row
 // kernel (MulBlockRows computes every row one by one) bit for bit on the
-// Erlang shape, at g = 1 and g > 1 and at Workers 1, 2 and 4, through
-// checkPlanSteps. The matrix is large enough to fan out, so the part cuts
-// split runs.
+// Erlang shape at Workers 1, 2 and 4, through checkPlanSteps. The matrix
+// is large enough to fan out, so the part cuts split runs.
 func TestSweepPlanRunsMatchRowKernel(t *testing.T) {
 	m := erlangCSR(t, 7, 1500, false)
-	for _, g := range []int{1, 3} {
-		for _, workers := range []int{1, 2, 4} {
-			p := NewSweepPlan(m, g, workers)
-			if workers > 1 {
-				if p.fanout(g) == 1 {
-					t.Fatalf("g=%d workers=%d: the plan does not fan out", g, workers)
-				}
-				split := false
-				for _, cut := range p.cuts {
-					for _, r := range runsOf(p) {
-						split = split || (r[0] < cut && cut < r[1])
-					}
-				}
-				if !split {
-					t.Fatalf("g=%d workers=%d: no cut in %v splits a run", g, workers, p.cuts)
+	for _, workers := range []int{1, 2, 4} {
+		p := NewSweepPlan(m, workers)
+		if workers > 1 {
+			if p.tasks == nil {
+				t.Fatalf("workers=%d: the plan does not fan out", workers)
+			}
+			cuts := m.rowCuts(workers)
+			split := false
+			for _, cut := range cuts {
+				for _, r := range runsOf(p) {
+					split = split || (r[0] < cut && cut < r[1])
 				}
 			}
-			checkPlanSteps(t, m, runSrc(m.Dim(), g), workers, true)
+			if !split {
+				t.Fatalf("workers=%d: no cut in %v splits a run", workers, cuts)
+			}
 		}
+		checkPlanSteps(t, m, runSrc(m.Dim()), workers, true)
 	}
 }
 
-// runSrc returns a random n×g start block with −0 in row n/3.
-func runSrc(n, g int) *Block {
-	src := randomBlock(n, g, uint64(n*g))
-	src.Set(n/3, 0, math.Copysign(0, -1))
+// runSrc returns a random start vector of length n with −0 in row n/3.
+func runSrc(n int) []float64 {
+	src := randomBlock(n, 1, uint64(n))
+	src[n/3] = math.Copysign(0, -1)
 	return src
 }
 
-// BenchmarkSweepPlanRuns times one accumulating g = 1 backward step on the
+// BenchmarkSweepPlanRuns times one accumulating backward step on the
 // Erlang shape at a few sizes, with its runs and with every run broken by
 // an ulp (the same arithmetic through the per-row kernel), at Workers 1
 // and 2: the per-entry cost of the two kernels and where each fans out.
@@ -215,14 +211,13 @@ func BenchmarkSweepPlanRuns(b *testing.B) {
 				name := fmt.Sprintf("nnz=%d/broken=%v/workers=%d", m.NNZ(), broken, workers)
 				b.Run(name, func(b *testing.B) {
 					n := m.Dim()
-					cur, next := randomBlock(n, 1, 3), NewBlock(n, 1, nil)
-					accs := [][]float64{make([]float64, n)}
-					diffs := make([]float64, 1)
-					p := NewSweepPlan(m, 1, workers)
-					p.Seed(cur, next)
+					cur, next := randomBlock(n, 1, 3), make([]float64, n)
+					acc := make([]float64, n)
+					p := NewSweepPlan(m, workers)
+					p.Seed(next, cur)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						p.Step(next, cur, 0.5, accs, []int{0}, diffs)
+						p.Step(next, cur, 0.5, acc)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NNZ()), "ns/entry")
 				})

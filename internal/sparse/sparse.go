@@ -1,6 +1,6 @@
 // Package sparse provides compressed sparse row (CSR) matrices and the
-// block kernels used throughout the model checker (a vector is a block of
-// one column). Matrices are square, real-valued and immutable once built;
+// kernels used throughout the model checker: the sweep plan of the
+// uniformisation sweeps and the n×g row kernel of Sericola's recursion. Matrices are square, real-valued and immutable once built;
 // construction goes through a triplet list, the incremental Builder, or
 // the RowBuilder for matrices derived row by row from a sorted CSR.
 //
@@ -12,7 +12,7 @@
 // shift-invariant run of rows (row r0+i is row r0 shifted i columns, as
 // in the phases of an Erlang expansion) as contiguous AXPYs. Every kernel
 // keeps each column bitwise equal to the sequential vector product; see
-// DESIGN.md "Multi-vector kernels".
+// DESIGN.md "Row kernels and the sweep plan".
 package sparse
 
 import (

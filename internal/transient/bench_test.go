@@ -46,14 +46,14 @@ func BenchmarkUntilSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vs := [][]float64{down.Indicator()}
+	v := down.Indicator()
 	for _, workers := range []int{1, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opts.Workers = workers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sweep(pm, vs, w, lambda*t, opts)
+				sweep(pm, v, w, lambda*t, opts)
 			}
 		})
 	}

@@ -21,15 +21,12 @@ func planStepAllocs(t *testing.T, n, workers int) float64 {
 		t.Fatal(err)
 	}
 	dim := p.Dim()
-	cur, next := sparse.NewBlock(dim, 1, nil), sparse.NewBlock(dim, 1, nil)
-	cur.SetCol(0, c.Label("down").Indicator())
-	accs := [][]float64{make([]float64, dim)}
-	active := []int{0}
-	diffs := make([]float64, 1)
-	plan := sparse.NewSweepPlan(p, 1, workers)
-	plan.Seed(cur, next)
+	cur, next := c.Label("down").Indicator(), make([]float64, dim)
+	acc := make([]float64, dim)
+	plan := sparse.NewSweepPlan(p, workers)
+	plan.Seed(next, cur)
 	return testing.AllocsPerRun(20, func() {
-		plan.Step(next, cur, 0.5, accs, active, diffs)
+		plan.Step(next, cur, 0.5, acc)
 		cur, next = next, cur
 	})
 }

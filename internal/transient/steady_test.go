@@ -44,13 +44,11 @@ func TestSteadyDetectStopsEarly(t *testing.T) {
 	}
 	v := m.Label("sink").Indicator()
 
-	offs, prodOff := sweep(p, [][]float64{v}, w, q, Options{Epsilon: eps, Workers: 1, SteadyDetect: SteadyOff})
-	off := offs[0]
+	off, prodOff := sweep(p, v, w, q, Options{Epsilon: eps, Workers: 1, SteadyDetect: SteadyOff})
 	if prodOff != w.Right {
 		t.Fatalf("detection off applied %d products, want the full window %d", prodOff, w.Right)
 	}
-	ons, prodOn := sweep(p, [][]float64{v}, w, q, Options{Epsilon: eps, Workers: 1})
-	on := ons[0]
+	on, prodOn := sweep(p, v, w, q, Options{Epsilon: eps, Workers: 1})
 	if prodOn >= prodOff {
 		t.Fatalf("steady-state detection did not stop early: %d products vs %d", prodOn, prodOff)
 	}
@@ -66,6 +64,71 @@ func TestSteadyDetectStopsEarly(t *testing.T) {
 	for s, x := range on {
 		if x < -eps || x > 1+eps {
 			t.Errorf("state %d: result %v outside [0,1]", s, x)
+		}
+	}
+}
+
+// ringModel builds a CTMC large enough that the uniformised matrix clears
+// the parallel kernels' grain, with an absorbing tail: states 0..n-3 hop
+// forward along a ring with a drift towards the two absorbing sinks n-2
+// and n-1.
+func ringModel(t *testing.T, n int) *mrm.MRM {
+	t.Helper()
+	b := mrm.NewBuilder(n)
+	for i := 0; i < n-2; i++ {
+		b.Rate(i, (i+1)%(n-2), 1.0+float64(i%5))
+		b.Rate(i, (i+7)%(n-2), 0.5+float64(i%3))
+		b.Rate(i, (i+13)%(n-2), 0.25)
+		b.Rate(i, n-2, 0.1+0.01*float64(i%7))
+		b.Rate(i, n-1, 0.05)
+	}
+	b.Label(n-2, "sinkA")
+	b.Label(n-1, "sinkB")
+	b.InitialState(0)
+	m, err := b.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return m
+}
+
+// TestSteadyDetectFixedPoint pins detection on vectors the sweep starts
+// at: a constant vector is a fixed point of the stochastic P, so with
+// detection on its sweep stops after a handful of passes, against the
+// full Fox–Glynn window with detection off, and the charged tail keeps
+// the result within ε of the full summation.
+func TestSteadyDetectFixedPoint(t *testing.T) {
+	m := ringModel(t, 300)
+	n := m.N()
+	const tb, eps = 60.0, 1e-10
+	lambda := m.UniformisationRate()
+	q := lambda * tb
+	p, err := m.Uniformised(lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	on := Options{Epsilon: eps, Workers: 1}
+	off := Options{Epsilon: eps, Workers: 1, SteadyDetect: SteadyOff}
+	fgEps, _, _ := on.budgetSplit(false)
+	w, err := on.poissonWeights(q, fgEps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []float64{1, 0.25} {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = c
+		}
+		accOn, prodOn := sweep(p, v, w, q, on)
+		accOff, prodOff := sweep(p, v, w, q, off)
+		if prodOff != w.Right {
+			t.Fatalf("v=%g: detection off applied %d passes, want the full window %d", c, prodOff, w.Right)
+		}
+		if prodOn >= prodOff/10 {
+			t.Fatalf("v=%g: fixed-point sweep still applied %d of %d passes", c, prodOn, prodOff)
+		}
+		if d := sparse.MaxDiff(accOn, accOff); d > eps {
+			t.Errorf("v=%g: steady-detect differs from full summation by %g > ε", c, d)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package transient implements transient analysis of CTMCs by
 // uniformisation (Jensen's randomisation, refs [12, 17] of the paper):
 // π(t) = Σ_n PoissonPMF(λt; n) · α·Pⁿ with Fox–Glynn weights. The backward
-// variant (reachability probabilities for all start states in one block
-// sweep over the uniformised matrix) is the work-horse for P1-type
+// variant (reachability probabilities for all start states in one sweep
+// of a terminal vector over the uniformised matrix) is the work-horse for P1-type
 // time-bounded until formulas. The forward variant (the distribution at
 // time t from an initial distribution) is a windowed sweep that reads only
 // the rows of the states its iterate reaches, and can drop negligible
@@ -189,23 +189,14 @@ func (o Options) poissonWeights(q, fgEps float64) (*numeric.PoissonWeights, erro
 	return w, nil
 }
 
-// sweep evaluates the backward uniformisation series Σ_n w(n)·vₙ for g
-// terminal vectors at once, with v₀ = vs[j] and vₙ₊₁ = P·vₙ, advancing all
-// of them through each matrix pass as one n×g block — one read of the
-// matrix per step instead of g. It returns the accumulators and the
-// number of block matrix passes applied. Each step is one
-// sparse.SweepPlan step: the product, the accumulate of the current
-// iterate (inside the Fox–Glynn window) and the per-column steady-test
-// differences in one pass, with the fixed rows left out of the product.
-// Column j of the outcome is bitwise equal to the sweep of vs[j] alone, at
-// every workers value: the plan keeps the per-column arithmetic order of
-// the vector product, every accumulator element gets the AXPY expression,
-// and steady-state detection runs per column with the identical
-// max|next − cur| < δ test. A column that converges is charged
-// its Poisson tail and then compacted out of the block, which cannot
-// disturb the surviving columns because every block element accumulates
-// only its own column's products. At g = 1 the plan and the column
-// helpers take their register and whole-slab specialisations.
+// sweep evaluates the backward uniformisation series Σ_n w(n)·vₙ with
+// v₀ = v and vₙ₊₁ = P·vₙ. It returns the accumulator and the number of
+// matrix passes applied. Each step is one sparse.SweepPlan step: the
+// product, the accumulate of the current iterate (inside the Fox–Glynn
+// window) and the steady-test difference in one pass, with the fixed rows
+// left out of the product. The plan keeps the arithmetic order of the
+// sequential vector product, so the result is bitwise the same at every
+// workers value.
 //
 // Steady-state detection: P is stochastic, so the iteration is
 // non-expansive in the ∞-norm. Once one application moves the iterate by
@@ -219,92 +210,61 @@ func (o Options) poissonWeights(q, fgEps float64) (*numeric.PoissonWeights, erro
 // every Workers value, so the early exit preserves bitwise determinism
 // across worker counts.
 //
-// Scratch blocks come from opts.Pool (nil-safe) and are returned to it;
-// the accumulators are pool-born and handed to the caller.
-func sweep(p *sparse.CSR, vs [][]float64, w *numeric.PoissonWeights, q float64, opts Options) ([][]float64, int) {
+// The scratch vectors come from opts.Pool (nil-safe) and are returned to
+// it; the accumulator is pool-born and handed to the caller.
+func sweep(p *sparse.CSR, v []float64, w *numeric.PoissonWeights, q float64, opts Options) ([]float64, int) {
 	n := p.Dim()
-	g := len(vs)
 	pool := opts.Pool
-	plan := sparse.NewSweepPlan(p, g, opts.Workers)
-	cur := sparse.NewBlock(n, g, pool)
-	for j, v := range vs {
-		cur.SetCol(j, v)
-	}
-	next := sparse.NewBlock(n, g, pool)
-	plan.Seed(cur, next)
-	accs := make([][]float64, g)
-	for j := range accs {
-		accs[j] = pool.Get(n)
-	}
-	// active[c] is the original vector index held by block column c;
-	// steady-state compaction shrinks it in step with the blocks.
-	active := make([]int, g)
-	for j := range active {
-		active[j] = j
-	}
-	diffs := make([]float64, g)
+	plan := sparse.NewSweepPlan(p, opts.Workers)
+	cur := pool.Get(n)
+	copy(cur, v)
+	next := pool.Get(n)
+	plan.Seed(next, cur)
+	acc := pool.Get(n)
 	detect := opts.SteadyDetect.enabled()
 	_, steadyEps, _ := opts.budgetSplit(false)
 	delta := steadyEps / q
 	products := 0
-	for step := 0; step <= w.Right && len(active) > 0; step++ {
+	for step := 0; step <= w.Right; step++ {
 		if step == w.Right {
-			for c, j := range active {
-				cur.ColAXPY(w.Weight(step), c, accs[j])
-			}
+			sparse.AXPY(w.Weight(step), cur, acc)
 			break
 		}
 		// One pass: next = P·cur, the accumulate of cur once inside the
-		// window, and the per-column steady-test differences.
-		var stepAccs [][]float64
+		// window, and the steady-test difference.
+		var diff float64
 		if step >= w.Left {
-			stepAccs = accs
+			diff = plan.Step(next, cur, w.Weight(step), acc)
+		} else {
+			diff = plan.Step(next, cur, w.Weight(step), nil)
 		}
-		plan.Step(next, cur, w.Weight(step), stepAccs, active, diffs)
 		products++
-		if detect {
-			// tail and kSum depend only on the step, so one computation
-			// serves every column that converges at it.
-			tailDone := false
+		if detect && diff < delta {
+			// Converged: charge the remaining Poisson mass to the fixed
+			// point instead of applying w.Right − step more no-op
+			// products. kSum = Σ (k − step)·w(k) weights the measured step
+			// size diff into the exact series mis-weighting this shortcut
+			// causes.
 			var tail, kSum float64
-			for c := len(active) - 1; c >= 0; c-- {
-				diff := diffs[c]
-				if diff >= delta {
-					continue
-				}
-				// Converged: charge the remaining Poisson mass to the fixed
-				// point instead of applying w.Right − step more no-op
-				// products. kSum = Σ (k − step)·w(k) weights the measured
-				// step size diff into the exact series mis-weighting this
-				// shortcut causes.
-				if !tailDone {
-					for k := step + 1; k <= w.Right; k++ {
-						tail += w.Weight(k)
-						kSum += float64(k-step) * w.Weight(k)
-					}
-					tailDone = true
-				}
-				j := active[c]
-				next.ColAXPY(tail, c, accs[j])
-				if opts.Obs != nil {
-					opts.Obs.Counter("steady.detections").Inc()
-					opts.Obs.Charge("steady", "tail-charge", diff*kSum)
-				}
-				// Compact the frozen column out of both blocks; descending
-				// c keeps the remaining indices valid.
-				cur.DropCol(c)
-				next.DropCol(c)
-				active = append(active[:c], active[c+1:]...)
+			for k := step + 1; k <= w.Right; k++ {
+				tail += w.Weight(k)
+				kSum += float64(k-step) * w.Weight(k)
 			}
+			sparse.AXPY(tail, next, acc)
+			if opts.Obs != nil {
+				opts.Obs.Counter("steady.detections").Inc()
+				opts.Obs.Charge("steady", "tail-charge", diff*kSum)
+			}
+			break
 		}
 		cur, next = next, cur
 	}
-	cur.Release(pool)
-	next.Release(pool)
+	pool.Put(cur)
+	pool.Put(next)
 	if opts.Obs != nil {
 		opts.Obs.Counter("sweep.products").Add(int64(products))
 	}
-	return accs, products
+	return acc, products
 }
 
 // Distribution returns the transient state distribution π(t) of the model's
@@ -346,46 +306,15 @@ func ReachProbAll(m *mrm.MRM, goal *mrm.StateSet, t float64, opts Options) ([]fl
 //
 //numerics:domain t=rate
 func BackwardWeighted(m *mrm.MRM, v []float64, t float64, opts Options) ([]float64, error) {
-	out, err := run(m, [][]float64{v}, t, opts)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// BackwardWeightedMulti is BackwardWeighted for several terminal weight
-// vectors over the same model and time bound: one block sweep advances all
-// of them through each matrix pass. result[j] is bitwise equal to
-// BackwardWeighted(m, vs[j], t, opts) at the same Workers value. When
-// opts.Pool is set the returned slices are pool-born; ownership transfers
-// to the caller.
-//
-//numerics:domain t=rate
-func BackwardWeightedMulti(m *mrm.MRM, vs [][]float64, t float64, opts Options) ([][]float64, error) {
-	return run(m, vs, t, opts)
-}
-
-// run is the shared body of the backward sweeps: argument checks, the
-// uniformisation and Fox–Glynn spans and one block sweep over all vectors.
-func run(m *mrm.MRM, vs [][]float64, t float64, opts Options) ([][]float64, error) {
 	opts = opts.normalise()
-	for j, v := range vs {
-		if len(v) != m.N() {
-			return nil, fmt.Errorf("transient: vector %d length %d for %d states", j, len(v), m.N())
-		}
+	if len(v) != m.N() {
+		return nil, fmt.Errorf("transient: vector length %d for %d states", len(v), m.N())
 	}
 	if t < 0 {
 		return nil, fmt.Errorf("transient: negative time bound %v", t)
 	}
-	if len(vs) == 0 {
-		return nil, nil
-	}
 	if t == 0 {
-		out := make([][]float64, len(vs))
-		for j, v := range vs {
-			out[j] = sparse.Clone(v)
-		}
-		return out, nil
+		return sparse.Clone(v), nil
 	}
 	lambda := opts.Lambda
 	if lambda == 0 {
@@ -404,8 +333,8 @@ func run(m *mrm.MRM, vs [][]float64, t float64, opts Options) ([][]float64, erro
 	}
 	span = opts.Obs.StartSpan("transient.sweep")
 	defer span.End()
-	accs, _ := sweep(p, vs, w, lambda*t, opts)
-	return accs, nil
+	acc, _ := sweep(p, v, w, lambda*t, opts)
+	return acc, nil
 }
 
 // runForward is the shared body of the forward requests: argument checks,

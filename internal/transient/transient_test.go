@@ -168,6 +168,20 @@ func TestBackwardWeightedZeroTime(t *testing.T) {
 	if got[0] != 0.25 || got[1] != 0.75 {
 		t.Errorf("t=0 should be identity: %v", got)
 	}
+	// The result is a copy: writing it leaves the terminal vector alone.
+	got[0] = 1
+	if v[0] != 0.25 {
+		t.Errorf("t=0 result aliases the terminal vector")
+	}
+}
+
+func TestBackwardWeightedRejectsWrongLength(t *testing.T) {
+	m := twoState(t, 1, 1)
+	for _, tb := range []float64{0, 1} {
+		if _, err := BackwardWeighted(m, []float64{1, 0, 0}, tb, DefaultOptions()); err == nil {
+			t.Errorf("t=%v: vector of length 3 for 2 states accepted", tb)
+		}
+	}
 }
 
 func TestAllAbsorbingModel(t *testing.T) {
