@@ -113,7 +113,8 @@ type Options struct {
 	// deriveStep).
 	DiscretiseStep float64
 	// Workers bounds the parallelism of the numerical procedures:
-	// 0 = runtime.NumCPU(), 1 = the exact sequential legacy path.
+	// 0 = runtime.NumCPU(), 1 = sequential. Every procedure's results are
+	// bitwise independent of it.
 	Workers int
 	// Lump controls the automatic formula-dependent lumping pre-pass of
 	// the exported entry points (see LumpMode). The zero value is on.
@@ -1164,17 +1165,16 @@ func (c *Checker) untilTimeRewardBatch(phi, psi *mrm.StateSet, t float64, rs []f
 	}
 	switch alg {
 	case AlgSericola:
-		var cache sericola.Cache
+		var cache transient.Cache
 		if c.memo != nil {
 			cache = c.memo
 		}
 		resList, err := sericola.ReachProbBatch(red.Model, goal, t, rs, sericola.Options{
-			Epsilon:  c.opts.Epsilon,
-			Workers:  c.opts.Workers,
-			Truncate: c.opts.Truncate,
-			Cache:    cache,
-			Pool:     c.pool,
-			Obs:      c.opts.Obs,
+			Epsilon: c.opts.Epsilon,
+			Workers: c.opts.Workers,
+			Cache:   cache,
+			Pool:    c.pool,
+			Obs:     c.opts.Obs,
 		})
 		if err != nil {
 			return nil, err

@@ -111,7 +111,7 @@ type MemoStats struct {
 // so a value stored by one goroutine is safely published to any other
 // goroutine that later looks it up.
 //
-// The concrete type satisfies both transient.Cache and sericola.Cache.
+// The concrete type satisfies transient.Cache.
 type memo struct {
 	mu          sync.Mutex
 	reductions  lruTable[string, *mrm.UntilReduction]         // guarded by mu
@@ -193,7 +193,7 @@ func (c *memo) Reduction(m *mrm.MRM, phi, psi *mrm.StateSet) (*mrm.UntilReductio
 	return red, nil
 }
 
-// Uniformised implements transient.Cache and sericola.Cache.
+// Uniformised implements transient.Cache.
 func (c *memo) Uniformised(m *mrm.MRM, lambda float64) (*sparse.CSR, error) {
 	if c == nil {
 		return m.Uniformised(lambda)
@@ -257,7 +257,7 @@ func (c *memo) stats() MemoStats {
 	}
 }
 
-// Poisson implements transient.Cache and sericola.Cache. Caching does not
+// Poisson implements transient.Cache. Caching does not
 // change the numerics: the table still drops the Poisson tails outside the
 // Fox–Glynn window, and the charge duty stays with the caller of every hit
 // and miss alike.

@@ -47,8 +47,8 @@ type Options struct {
 	AllowCoarse bool
 	// Workers bounds the parallelism of the recursion's per-state inner
 	// loop and of ReachProbAll's per-source fan-out: 0 = runtime.NumCPU(),
-	// 1 = the exact sequential legacy path. The per-state loop writes only
-	// state-owned rows, so results are bitwise independent of Workers.
+	// 1 = sequential. The per-state loop writes only state-owned rows, so
+	// results are bitwise independent of Workers.
 	Workers int
 	// Pool, when non-nil, supplies the n·(R+1) recursion grids. Each
 	// worker of the ReachProbAll fan-out checks its grids out at the start

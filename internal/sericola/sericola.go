@@ -37,22 +37,6 @@ import (
 	"github.com/performability/csrl/internal/transient"
 )
 
-// Cache memoises uniformised matrices and Fox–Glynn tables across calls.
-// It mirrors transient.Cache structurally, so one concrete implementation
-// (internal/core's memo) satisfies both. Nil disables memoisation.
-type Cache interface {
-	Uniformised(m *mrm.MRM, lambda float64) (*sparse.CSR, error)
-	// Poisson returns the Fox–Glynn weight table; like the transient
-	// package's Cache it truncates the Poisson tails, and its callers owe
-	// the ledger the two tail charges.
-	//numerics:truncates foxglynn/left-tail foxglynn/right-tail
-	Poisson(q, eps float64) (*numeric.PoissonWeights, error)
-	// Absorbing mirrors transient.Cache.Absorbing; the Sericola recursion
-	// itself never derives absorbing models, but keeping the method sets
-	// identical lets one Cache value flow into the transient fallbacks.
-	Absorbing(m *mrm.MRM, set *mrm.StateSet, zeroReward bool) (*mrm.MRM, error)
-}
-
 // Options configures the computation.
 type Options struct {
 	// Epsilon is the a-priori truncation error bound ε (Table 2 sweeps it).
@@ -60,10 +44,9 @@ type Options struct {
 	// Lambda overrides the uniformisation rate (0 = automatic).
 	Lambda float64
 	// Workers bounds the parallelism of the per-level row sweeps:
-	// 0 = runtime.NumCPU(), 1 = the exact sequential legacy path. The
-	// recursion is partitioned by matrix row, and every row's arithmetic
-	// runs in the sequential order, so results are bitwise independent of
-	// Workers.
+	// 0 = runtime.NumCPU(), 1 = sequential. The recursion is partitioned
+	// by matrix row, and every row's arithmetic runs in the sequential
+	// order, so results are bitwise independent of Workers.
 	Workers int
 	// FullWidth forces the recursion to carry all n columns instead of only
 	// the g goal columns. The sliced default performs the identical
@@ -71,16 +54,10 @@ type Options struct {
 	// knob exists for that crosscheck (the golden and crosscheck tests),
 	// not for production use, and nothing outside the tests sets it.
 	FullWidth bool
-	// Truncate is forwarded to the transient fallback (see
-	// transient.Options.Truncate). It only takes effect on forward sweeps
-	// there; the vacuous-bound leg here is a backward sweep and the
-	// C(h,n,k) recursion carries conditional distributions whose columns
-	// cannot be dropped independently, so neither truncates today. The
-	// field keeps the checker's option plumbing uniform.
-	Truncate float64
 	// Cache, when non-nil, memoises the uniformised matrix and the
-	// Poisson weight table.
-	Cache Cache
+	// Poisson weight table; the vacuous-bound leg hands it on to its
+	// backward sweep.
+	Cache transient.Cache
 	// Pool, when non-nil, supplies the slab of the recursion's band
 	// tensors, its n×g accumulators and the scratch of the transient
 	// fallback. All of them are checked back in before ReachProbBatch
@@ -922,15 +899,12 @@ func splitBudget(eps float64, nVacuous, nBanded int) (sweepEps, bandEps float64)
 // detection and pooled scratch along for free.
 func transientGoal(m *mrm.MRM, goal *mrm.StateSet, t, lambda, eps float64, opts Options) ([]float64, error) {
 	topts := transient.Options{
-		Epsilon:  eps,
-		Lambda:   lambda,
-		Workers:  opts.Workers,
-		Truncate: opts.Truncate,
-		Pool:     opts.Pool,
-		Obs:      opts.Obs,
-		// Cache's method set is identical to transient.Cache's, so the
-		// interface value converts directly; nil stays nil.
-		Cache: opts.Cache,
+		Epsilon: eps,
+		Lambda:  lambda,
+		Workers: opts.Workers,
+		Pool:    opts.Pool,
+		Obs:     opts.Obs,
+		Cache:   opts.Cache,
 	}
 	vals, err := transient.BackwardWeighted(m, goal.Indicator(), t, topts)
 	if err != nil {
