@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-github lint-dataflow bench-smoke bench-test serve-smoke fmt vet
+.PHONY: all build test race fuzz lint lint-github lint-dataflow bench-smoke bench-test serve-smoke fmt vet
 
 all: build lint test
 
@@ -14,6 +14,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Short fuzz runs of the two input decoders: Parse (formulas) and Decode
+# (model files) must never panic, and what they accept must round-trip.
+# -fuzzminimizetime=1x stops the minimisation of each new-coverage input
+# from taking most of a short run. A failing input is written under the
+# package's testdata/fuzz/ directory.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/logic
+	$(GO) test -run=NONE -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/modelfile
 
 # The incremental cache keeps warm runs fast (per-package results keyed
 # by source content + dependency keys + the analyzer registry hash, under
