@@ -2,11 +2,12 @@
 // uniformisation (Jensen's randomisation, refs [12, 17] of the paper):
 // π(t) = Σ_n PoissonPMF(λt; n) · α·Pⁿ with Fox–Glynn weights. The backward
 // variant (reachability probabilities for all start states in one sweep
-// of a terminal vector over the uniformised matrix) is the work-horse for P1-type
-// time-bounded until formulas. The forward variant (the distribution at
-// time t from an initial distribution) is a windowed sweep that reads only
-// the rows of the states its iterate reaches, and can drop negligible
-// states within a ledgered share of the budget (Options.Truncate).
+// of a terminal vector over the uniformised matrix) is the work-horse for
+// P1-type time-bounded until formulas. The forward variant (the
+// distribution at time t from an initial distribution) is a windowed sweep
+// that reads only the rows of the states its iterate reaches, and can drop
+// negligible states within a ledgered share of the budget
+// (Options.Truncate).
 package transient
 
 import (
