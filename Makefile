@@ -20,10 +20,9 @@ race:
 # -fuzzminimizetime=1x stops the minimisation of each new-coverage input
 # from taking most of a short run. A failing input is written under the
 # package's testdata/fuzz/ directory.
-FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/logic
-	$(GO) test -run=NONE -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/modelfile
+	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/logic
+	$(GO) test -run=NONE -fuzz='^FuzzDecode$$' -fuzztime=10s -fuzzminimizetime=1x ./internal/modelfile
 
 # The incremental cache keeps warm runs fast (per-package results keyed
 # by source content + dependency keys + the analyzer registry hash, under

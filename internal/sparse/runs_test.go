@@ -177,7 +177,7 @@ func TestSweepPlanRunsMatchRowKernel(t *testing.T) {
 			if p.tasks == nil {
 				t.Fatalf("workers=%d: the plan does not fan out", workers)
 			}
-			cuts := m.rowCuts(workers)
+			cuts := m.rowCuts(p.fanout(workers))
 			split := false
 			for _, cut := range cuts {
 				for _, r := range runsOf(p) {

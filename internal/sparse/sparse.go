@@ -1,8 +1,9 @@
 // Package sparse provides compressed sparse row (CSR) matrices and the
 // kernels used throughout the model checker: the sweep plan of the
-// uniformisation sweeps and the n×g row kernel of Sericola's recursion. Matrices are square, real-valued and immutable once built;
-// construction goes through a triplet list, the incremental Builder, or
-// the RowBuilder for matrices derived row by row from a sorted CSR.
+// uniformisation sweeps and the n×g row kernel of Sericola's recursion.
+// Matrices are square, real-valued and immutable once built; construction
+// goes through a triplet list, the incremental Builder, or the RowBuilder
+// for matrices derived row by row from a sorted CSR.
 //
 // A uniformisation sweep runs through a SweepPlan, built once per sweep:
 // each step is one parallel kernel call that computes the product, the
