@@ -7,9 +7,8 @@ import (
 )
 
 // Domainflow flags arithmetic that mixes log-space and linear-space
-// values. The numeric kernels keep Poisson and binomial terms in log
-// space until the last moment (PoissonPMF returns exp(-λ + n·log λ −
-// log n!)); a caller that adds such a log-space quantity to a linear
+// values. The numeric kernels keep Poisson terms in log space until the
+// last moment (PoissonPMF returns exp(-λ + n·log λ − log n!)); a caller that adds such a log-space quantity to a linear
 // probability, exponentiates a value that is already linear, or takes
 // the log of a value that is already logarithmic produces garbage that
 // no later clamp can repair. Domains come from //numerics:domain

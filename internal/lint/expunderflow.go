@@ -15,13 +15,15 @@ import (
 //     trips that waste precision (and the latter NaNs for x ≤ 0);
 //   - hand-rolled log-space probability terms (math.Exp over an expression
 //     built from math.Log/math.Lgamma calls or log-named values) outside
-//     internal/numeric. Poisson and binomial pmf terms belong next to the
-//     Fox–Glynn machinery: use numeric.PoissonPMF, numeric.BinomialPMF,
-//     numeric.PoissonPMFTable or numeric.FoxGlynn.
+//     internal/numeric. Poisson pmf terms belong next to the Fox–Glynn
+//     machinery: use numeric.PoissonPMF, numeric.PoissonPMFTable or
+//     numeric.FoxGlynn. Binomial masses need no Exp at all: advance a
+//     row with numeric.BinomialStep.
 var Expunderflow = &Analyzer{
-	Name: "expunderflow",
-	Doc:  "flags underflow-prone exp/log arithmetic and hand-rolled log-space pmf terms outside internal/numeric",
-	Run:  runExpunderflow,
+	Name:    "expunderflow",
+	Doc:     "flags underflow-prone exp/log arithmetic and hand-rolled log-space pmf terms outside internal/numeric",
+	Version: 2,
+	Run:     runExpunderflow,
 }
 
 // numericPkgSuffix marks the one package allowed to hand-roll log-space
@@ -54,7 +56,7 @@ func runExpunderflow(pass *Pass) error {
 				pass.ReportNodef(n, "math.Exp(math.Log(x)) is x with extra rounding (and NaN for x <= 0); use x directly")
 			case !inNumeric && isPkgFunc(pass.Info, n, "math", "Exp") && len(n.Args) == 1:
 				if mentionsLogSpace(pass, n.Args[0]) {
-					pass.ReportNodef(n, "hand-rolled log-space probability term outside %s; use numeric.PoissonPMF, numeric.BinomialPMF or numeric.FoxGlynn", numericPkgSuffix)
+					pass.ReportNodef(n, "hand-rolled log-space probability term outside %s; use numeric.PoissonPMF, numeric.PoissonPMFTable, numeric.FoxGlynn or, for binomial masses, numeric.BinomialStep", numericPkgSuffix)
 				}
 			}
 		}

@@ -313,14 +313,13 @@ func ReachProbBatch(m *mrm.MRM, goal *mrm.StateSet, t float64, rs []float64, opt
 		rho[s] = m.Reward(s) - rhoMin
 	}
 
-	// Poisson and binomial pmf terms come from internal/numeric's log-space
-	// helpers (see the expunderflow analyzer): level ≤ nSteps and k ≤ level
-	// bound both table sizes.
+	// The Poisson pmf terms come from internal/numeric's log-space table
+	// (see the expunderflow analyzer), sized by level ≤ nSteps; run
+	// advances the binomial weights by numeric.BinomialStep.
 	poisPMF, err := numeric.PoissonPMFTable(lambda*t, nSteps)
 	if err != nil {
 		return nil, fmt.Errorf("sericola: %w", err)
 	}
-	lf := numeric.LogFactorials(nSteps)
 
 	if opts.Obs != nil {
 		// The a-priori bound guarantees the mass past N_ε is below ε; the
@@ -341,7 +340,7 @@ func ReachProbBatch(m *mrm.MRM, goal *mrm.StateSet, t float64, rs []float64, opt
 	}
 
 	span := opts.Obs.StartSpan("sericola.recursion")
-	hMats, tMat := run(p, rho, shifted, liveRows(m, rho), targets, poisPMF, lf, nSteps, opts.Workers, cols, opts.Pool)
+	hMats, tMat := run(p, rho, shifted, liveRows(m, rho), targets, poisPMF, nSteps, opts.Workers, cols, opts.Pool)
 	span.End()
 	putAll := func() {
 		for _, hm := range hMats {
@@ -444,9 +443,8 @@ func liveRows(m *mrm.MRM, rho []float64) []int {
 // run executes the C(h,n,k) recursion restricted to the given column set
 // and returns (per-target H matrices, Pois-weighted transient matrix), all
 // flattened row-major n×g with column j holding original column cols[j].
-// live lists the live rows (liveRows) in increasing order. poisPMF and lf
-// are the precomputed Poisson pmf and log-factorial tables covering
-// 0..nSteps.
+// live lists the live rows (liveRows) in increasing order. poisPMF is the
+// precomputed Poisson pmf table covering 0..nSteps.
 //
 // Layout: each band h keeps its level's matrices C(h, level, 0..level) in
 // one tensor stored row by row with k inside each row — entry (i, k, j) at
@@ -490,8 +488,11 @@ func liveRows(m *mrm.MRM, rho []float64) []int {
 // target-independent — a target only selects which band it reads
 // (target.h) and the binomial weights terms[ti] it reads it with. Each
 // additional target therefore costs one extra n×g accumulator and one
-// binomial row per level, while the recursion itself (the dominant
-// O(m·N²) row products) runs once for the whole batch. For each target the
+// binomial row of N+1 floats, advanced by Pascal's rule at one
+// multiply-add per term and level (numeric.BinomialStep, no Exp), while
+// the recursion itself (the dominant O(m·N²) row products) runs once for
+// the whole batch. A target's row depends only on its x and the level, so
+// it is the same in a batch as alone. For each target the
 // accumulation performs the identical floating-point operations in the
 // identical order as a single-target run, so batch results are bitwise
 // equal to unbatched ones. A dead row's hMat row is never touched and
@@ -525,7 +526,7 @@ func liveRows(m *mrm.MRM, rho []float64) []int {
 // calling run. All of it is one pooled slab (nil-safe), checked out once
 // and checked back in before run returns; only the returned hMats/tMat
 // stay checked out, and ReachProbBatch returns those after summing.
-func run(p *sparse.CSR, rho, bands []float64, live []int, targets []target, poisPMF func(int) float64, lf []float64, nSteps, workers int, cols []int, pool *sparse.VecPool) (hMats [][]float64, tMat []float64) {
+func run(p *sparse.CSR, rho, bands []float64, live []int, targets []target, poisPMF func(int) float64, nSteps, workers int, cols []int, pool *sparse.VecPool) (hMats [][]float64, tMat []float64) {
 	n := p.Dim()
 	g := len(cols)
 	mBands := len(bands) - 1
@@ -606,16 +607,22 @@ func run(p *sparse.CSR, rho, bands []float64, live []int, targets []target, pois
 		w     float64
 	)
 	// The accumulation weights of the current level, one list per target:
-	// terms[ti] holds w·binom(k) for every k whose binomial pmf is non-zero,
-	// built sequentially before each level's parallel region (read-only
-	// inside it) — once per level, not once per worker.
-	binom := make([]float64, nSteps+1)
+	// terms[ti] holds w·binom(k) for every k whose binomial mass is
+	// non-zero, built sequentially before each level's parallel region
+	// (read-only inside it) — once per level, not once per worker. The
+	// masses binom[ti][k] = C(level,k)·x^k·(1−x)^(level−k) of target ti
+	// are advanced from the level-0 row [1] by Pascal's rule at every
+	// level, whether or not the level's Poisson weight w is zero.
+	binom := make([][]float64, len(targets))
+	for ti := range binom {
+		binom[ti] = make([]float64, nSteps+1)
+		binom[ti][0] = 1
+	}
 	terms := make([][]term, len(targets))
 	weigh := func() {
-		for ti, tg := range targets {
-			numeric.BinomialRow(lf, level, tg.x, binom)
+		for ti, row := range binom {
 			terms[ti] = terms[ti][:0]
-			for k, bw := range binom[:level+1] {
+			for k, bw := range row[:level+1] {
 				if bw != 0 {
 					terms[ti] = append(terms[ti], term{k: k, f: w * bw})
 				}
@@ -754,6 +761,9 @@ func run(p *sparse.CSR, rho, bands []float64, live []int, targets []target, pois
 		// range and runs the full per-row pipeline — the Pⁿ update (into
 		// pnNext, which holds P^level until the swap below), the products,
 		// the up/down sweeps and the accumulation — in sequential order.
+		for ti, tg := range targets {
+			numeric.BinomialStep(binom[ti][:level+1], tg.x)
+		}
 		w = poisPMF(level)
 		if w != 0 {
 			weigh()
