@@ -95,32 +95,32 @@ func TestGoldenReachProbBatchBits(t *testing.T) {
 		{
 			name: "q3/eps=1e-4", m: red.Model, goal: red.Model.Label("goal"),
 			t: adhoc.Q3TimeBound, rs: q3Bounds, eps: 1e-4,
-			want: "4e787fec4986c8a8e9fabd5ae3082b79e742ba830263e68902141a4eee84e81a",
+			want: "f2078d7bac26a35133ac446182697824a1a757763a48c7ec80646b2815027a42",
 		},
 		{
 			name: "q3/eps=1e-9", m: red.Model, goal: red.Model.Label("goal"),
 			t: adhoc.Q3TimeBound, rs: q3Bounds, eps: 1e-9,
-			want: "a8fac1e96346a44e27a312cb7657bc28bfd131ab236ba0db076ab329211121b5",
+			want: "c373f1ef79325f81a0816708eefc98b098210717a4e126c0f59e896dd396a7aa",
 		},
 		{
 			name: "cluster:4/degraded", m: cl, goal: cl.Label("degraded"),
 			t: 2, rs: []float64{1, 3.5, 7}, eps: 1e-8,
-			want: "003cfa11643ac2ad51e22b3e171f2174fcb9fccd3c92cb8538835ed974c3b2d7",
+			want: "4b3e2e247760bf0d186dbf00f8c32f08280f1ea06f5d80c3431d5cf1ca3394d6",
 		},
 		{
 			name: "dead-rows", m: dead, goal: dead.Label("goal"),
 			t: 2, rs: []float64{0.5, 2.5, 4, 5.9, 7}, eps: 1e-9,
-			want: "7ef95fca61841b6d7e576f22b65d71b173498b323882c7912dba7a38c1ec37aa",
+			want: "8286add0b8802f38dad8f6169f424b1dad0b42c803060179bac31acbc86c15ce",
 		},
 		{
 			name: "cluster:7/reduced", m: cl7, goal: cl7.Label("goal"),
 			t: 2, rs: []float64{0.5, 3, 9, 20}, eps: 1e-8,
-			want: "6526116fc79c0e23ed98999ba417848348419f03cd6dd137b12cd584273a66aa",
+			want: "cdf78979edfa5ccb9832b0e866cf40c059440926f78d263ee695d0321b1acc89",
 		},
 		{
 			name: "cluster:46/reduced", m: cl46, goal: cl46.Label("goal"),
 			t: 0.25, rs: []float64{0.1, 1, 5}, eps: 1e-8, slicedOnly: true,
-			want: "421b563fdb878143b7691ec62552816b36b6797d0d4bc192261825132e6389a8",
+			want: "146b93912b20e1dbb0ef0a112f003f8bf4ff5c88c3c275614b0a4158efc77c35",
 		},
 	}
 	for _, tc := range cases {
