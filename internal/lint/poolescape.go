@@ -11,14 +11,17 @@ import (
 // directly, or through a callee whose summary marks a result pool-born —
 // reaches a Put on every path out of the function, unless ownership
 // demonstrably moves on: the buffer is returned to the caller, stored into
-// a longer-lived structure, or captured by a closure. The early-error
+// a longer-lived structure, or captured by a closure. A plain alias
+// (stepAcc = acc) only lends the buffer a second name: it is dropped when
+// the last name holding it is rebound, and any of its names can Put or
+// return it. The early-error
 // return that silently drops a borrowed vector is exactly the leak this
 // catches; the pooled hot path only stays allocation-free when no path
 // loses a buffer.
 var Poolescape = &Analyzer{
 	Name:    "poolescape",
 	Doc:     "flags pool-borrowed buffers that miss their Put on some path",
-	Version: 1,
+	Version: 2,
 	Run:     runPoolescape,
 }
 
@@ -170,21 +173,28 @@ func analyzePool(pkg *Package, ft *ast.FuncType, body *ast.BlockStmt, s *Summari
 			namedResult: namedResult,
 			born:        born,
 			visited:     make(map[poolState]bool),
+			slot:        make(map[types.Object]uint),
 		}
-		w.walk(birth.block, birth.node+1, birth.obj, false)
+		h, _ := w.with(0, birth.obj)
+		w.walk(birth.block, birth.node+1, h, false)
 		diags = append(diags, w.diags...)
 	}
 	return born, diags
 }
 
 // poolState memoises the ownership walk: same block, same entry point,
-// same current owner, same sharing mode — the continuation is identical.
+// same names holding the buffer, same sharing mode — the continuation is
+// identical.
 type poolState struct {
-	block  int
-	start  int
-	owner  types.Object
-	shared bool
+	block   int
+	start   int
+	holders holderSet
+	shared  bool
 }
+
+// holderSet is the set of local names bound to the tracked buffer, one bit
+// per name in the walker's slot table.
+type holderSet uint64
 
 type poolWalker struct {
 	info        *types.Info
@@ -195,6 +205,39 @@ type poolWalker struct {
 	born        []bool
 	visited     map[poolState]bool
 	diags       []poolDiag
+	slot        map[types.Object]uint
+}
+
+// has reports whether obj is one of the names in h.
+func (w *poolWalker) has(h holderSet, obj types.Object) bool {
+	i, ok := w.slot[obj]
+	return ok && h&(1<<i) != 0
+}
+
+// with adds obj to h. It fails once 64 distinct names have held the
+// buffer, which no real function reaches.
+func (w *poolWalker) with(h holderSet, obj types.Object) (holderSet, bool) {
+	i, ok := w.slot[obj]
+	if !ok {
+		if len(w.slot) == 64 {
+			return h, false
+		}
+		i = uint(len(w.slot))
+		w.slot[obj] = i
+	}
+	return h | 1<<i, true
+}
+
+// mentions reports whether the subtree references any name in h.
+func (w *poolWalker) mentions(n ast.Node, h holderSet) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && w.has(h, defOrUse(w.info, id)) {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 func (w *poolWalker) leak(at token.Pos, overwrite bool) {
@@ -208,12 +251,12 @@ func (w *poolWalker) leak(at token.Pos, overwrite bool) {
 }
 
 // walk advances the ownership automaton from block b, node index start,
-// with the buffer currently bound to owner. shared marks buffers a closure
+// with the buffer currently bound to the names in h. shared marks buffers a closure
 // has captured: aliased beyond what the walk can see, so leaks are no
 // longer provable (and not reported), but a later Put still ends tracking
 // and a later return still hands the buffer to the caller.
-func (w *poolWalker) walk(bi, start int, owner types.Object, shared bool) {
-	st := poolState{block: bi, start: start, owner: owner, shared: shared}
+func (w *poolWalker) walk(bi, start int, h holderSet, shared bool) {
+	st := poolState{block: bi, start: start, holders: h, shared: shared}
 	if w.visited[st] {
 		return
 	}
@@ -222,18 +265,18 @@ func (w *poolWalker) walk(bi, start int, owner types.Object, shared bool) {
 	for i := start; i < len(b.Nodes); i++ {
 		node := b.Nodes[i]
 		if ret, ok := node.(*ast.ReturnStmt); ok {
-			w.ret(ret, owner, shared)
+			w.ret(ret, h, shared)
 			return
 		}
-		switch act, next := w.scanNode(node, owner); act {
+		switch act, next := w.scanNode(node, h); act {
 		case poolPut:
 			return
 		case poolEscape:
 			return
 		case poolShare:
 			shared = true
-		case poolMove:
-			owner = next
+		case poolNone:
+			h = next
 		case poolLeak:
 			if !shared {
 				w.leak(node.Pos(), true)
@@ -257,7 +300,7 @@ func (w *poolWalker) walk(bi, start int, owner types.Object, shared bool) {
 		return
 	}
 	for _, s := range b.Succs {
-		w.walk(s.Index, 0, owner, shared)
+		w.walk(s.Index, 0, h, shared)
 	}
 }
 
@@ -275,14 +318,20 @@ func body_end(c *CFG) token.Pos {
 }
 
 // ret decides what a return statement does to a live buffer.
-func (w *poolWalker) ret(rs *ast.ReturnStmt, owner types.Object, shared bool) {
+func (w *poolWalker) ret(rs *ast.ReturnStmt, h holderSet, shared bool) {
 	if len(rs.Results) == 0 {
 		// Naked return: a named result holding the buffer hands it to the
 		// caller; otherwise the buffer is dropped.
-		if j, ok := w.namedResult[owner]; ok {
-			if j < len(w.born) {
-				w.born[j] = true
+		handed := false
+		for obj, j := range w.namedResult {
+			if w.has(h, obj) {
+				if j < len(w.born) {
+					w.born[j] = true
+				}
+				handed = true
 			}
+		}
+		if handed {
 			return
 		}
 		if !shared {
@@ -296,7 +345,7 @@ func (w *poolWalker) ret(rs *ast.ReturnStmt, owner types.Object, shared bool) {
 			// Reslicing shares the backing array: still a transfer.
 			e = unparen(sl.X)
 		}
-		if id, ok := e.(*ast.Ident); ok && defOrUse(w.info, id) == owner {
+		if id, ok := e.(*ast.Ident); ok && w.has(h, defOrUse(w.info, id)) {
 			if j < len(w.born) {
 				w.born[j] = true
 			}
@@ -307,7 +356,7 @@ func (w *poolWalker) ret(rs *ast.ReturnStmt, owner types.Object, shared bool) {
 	// (return Result{Values: buf}) — ownership moves into the returned
 	// value, not lost.
 	for _, r := range rs.Results {
-		if exprMentions(w.info, r, owner) {
+		if w.mentions(r, h) {
 			return
 		}
 	}
@@ -332,21 +381,19 @@ const (
 	poolPut
 	poolEscape
 	poolShare
-	poolMove
 	poolLeak
 )
 
-// scanNode classifies what one block node does to the owned buffer.
-func (w *poolWalker) scanNode(node ast.Node, owner types.Object) (poolAction, types.Object) {
-	action, next := poolNone, owner
-
+// scanNode classifies what one block node does to the buffer held by the
+// names in h, and returns the names that hold it afterwards.
+func (w *poolWalker) scanNode(node ast.Node, h holderSet) (poolAction, holderSet) {
 	// Closure capture: the buffer is aliased beyond this walk's sight.
 	// Tracking continues in shared mode — a worker-pool pattern hands the
 	// buffer to goroutines and still returns (or Puts) it afterwards.
 	capture := false
 	ast.Inspect(node, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok {
-			if exprMentions(w.info, lit, owner) {
+			if w.mentions(lit, h) {
 				capture = true
 			}
 			return false
@@ -354,61 +401,103 @@ func (w *poolWalker) scanNode(node ast.Node, owner types.Object) (poolAction, ty
 		return true
 	})
 	if capture {
-		return poolShare, owner
+		return poolShare, h
 	}
 
-	put := false
+	put, escape := false, false
 	ast.Inspect(node, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok && isPoolPut(w.info, call) && len(call.Args) == 1 {
-			if id, ok := unparen(call.Args[0]).(*ast.Ident); ok && defOrUse(w.info, id) == owner {
+			if id, ok := unparen(call.Args[0]).(*ast.Ident); ok && w.has(h, defOrUse(w.info, id)) {
 				put = true
 			}
 		}
-		if lit, ok := n.(*ast.CompositeLit); ok && exprMentions(w.info, lit, owner) {
+		if lit, ok := n.(*ast.CompositeLit); ok && w.mentions(lit, h) {
 			// The buffer is packed into a longer-lived value.
-			action = poolEscape
+			escape = true
 		}
 		if call, ok := n.(*ast.CallExpr); ok && isBuiltin(w.info, call, "append") {
 			// append stores the buffer into the destination slice.
 			for _, a := range call.Args[1:] {
-				if exprMentions(w.info, a, owner) {
-					action = poolEscape
+				if w.mentions(a, h) {
+					escape = true
 				}
 			}
 		}
 		return true
 	})
 	if put {
-		return poolPut, owner
+		return poolPut, h
 	}
-	if action == poolEscape {
-		return poolEscape, owner
+	if escape {
+		return poolEscape, h
 	}
 
-	if as, ok := node.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
-		for i, r := range as.Rhs {
-			if id, ok := unparen(r).(*ast.Ident); ok && defOrUse(w.info, id) == owner {
-				// The buffer moves (or is additionally aliased) to the
-				// i-th target; follow the value, not the name.
-				if dst := lhsObject(w.info, as.Lhs[i]); dst != nil {
-					return poolMove, dst
-				}
-				// Stored into a field, map or index expression.
-				return poolEscape, owner
-			}
+	switch s := node.(type) {
+	case *ast.AssignStmt:
+		if len(s.Lhs) == len(s.Rhs) {
+			return w.rebind(h, s.Lhs, s.Rhs)
 		}
-		for _, l := range as.Lhs {
-			if id, ok := unparen(l).(*ast.Ident); ok && defOrUse(w.info, id) == owner {
-				// Overwritten while live and the old value is not on the
-				// right-hand side: the buffer is unreachable from here on.
-				return poolLeak, owner
+	case *ast.DeclStmt:
+		// var x = buf aliases the buffer; var x T inside a loop rebinds
+		// a name that may hold it to the zero value.
+		gd, ok := s.Decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			break
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if len(vs.Values) != 0 && len(vs.Values) != len(vs.Names) {
+				continue
 			}
+			lhs := make([]ast.Expr, len(vs.Names))
+			for i, name := range vs.Names {
+				lhs[i] = name
+			}
+			act, next := w.rebind(h, lhs, vs.Values)
+			if act != poolNone {
+				return act, next
+			}
+			h = next
 		}
 	}
-	return action, next
+	return poolNone, h
+}
+
+// rebind applies the assignment lhs = rhs (rhs nil: zero values) to the
+// names in h. A name assigned one of them becomes a holder; any other name
+// assigned over stops holding the buffer, which is lost once no name
+// holds it.
+func (w *poolWalker) rebind(h holderSet, lhs, rhs []ast.Expr) (poolAction, holderSet) {
+	next := h
+	for i, l := range lhs {
+		held := false
+		if rhs != nil {
+			id, ok := unparen(rhs[i]).(*ast.Ident)
+			held = ok && w.has(h, defOrUse(w.info, id))
+		}
+		dst := lhsObject(w.info, l)
+		switch {
+		case held && dst == nil:
+			// Stored into a field, map or index expression.
+			return poolEscape, h
+		case held:
+			var ok bool
+			if next, ok = w.with(next, dst); !ok {
+				return poolShare, h
+			}
+		case w.has(next, dst):
+			next &^= 1 << w.slot[dst]
+		}
+	}
+	if next == 0 {
+		// Overwritten while live and the value is not on the right-hand
+		// side under any name: the buffer is unreachable from here on.
+		return poolLeak, h
+	}
+	return poolNone, next
 }
 
 // lhsObject resolves a bare-identifier assignment target ("_" gives nil).

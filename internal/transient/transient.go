@@ -233,12 +233,11 @@ func sweep(p *sparse.CSR, v []float64, w *numeric.PoissonWeights, q float64, opt
 		}
 		// One pass: next = P·cur, the accumulate of cur once inside the
 		// window, and the steady-test difference.
-		var diff float64
+		var stepAcc []float64
 		if step >= w.Left {
-			diff = plan.Step(next, cur, w.Weight(step), acc)
-		} else {
-			diff = plan.Step(next, cur, w.Weight(step), nil)
+			stepAcc = acc
 		}
+		diff := plan.Step(next, cur, w.Weight(step), stepAcc)
 		products++
 		if detect && diff < delta {
 			// Converged: charge the remaining Poisson mass to the fixed

@@ -87,3 +87,46 @@ func sharedWorker(p *sparse.VecPool, n int) float64 {
 	p.Put(buf)
 	return total
 }
+
+// aliasInLoop lends the buffer to a second name on some iterations, the
+// shape of a sweep that accumulates only inside its window: a plain alias
+// is not an ownership move, so reassigning the alias leaks nothing, and
+// the return through the first name hands the buffer to the caller.
+func aliasInLoop(p *sparse.VecPool, n, steps, from int) []float64 {
+	acc := p.Get(n)
+	for step := 0; step < steps; step++ {
+		var stepAcc []float64
+		if step >= from {
+			stepAcc = acc
+		}
+		addTo(stepAcc, float64(step))
+	}
+	return acc
+}
+
+// aliasOutlivesOverwrite rebinds the first name while an alias still
+// holds the buffer, and Puts it through the alias.
+func aliasOutlivesOverwrite(p *sparse.VecPool, n int) float64 {
+	buf := p.Get(n)
+	keep := buf
+	buf = nil
+	total := keep[0]
+	p.Put(keep)
+	return total
+}
+
+// declaredAlias binds the alias in a var declaration.
+func declaredAlias(p *sparse.VecPool, n int) float64 {
+	buf := p.Get(n)
+	var keep = buf
+	buf = nil
+	total := keep[0]
+	p.Put(keep)
+	return total
+}
+
+func addTo(dst []float64, v float64) {
+	for i := range dst {
+		dst[i] += v
+	}
+}

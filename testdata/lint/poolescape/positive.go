@@ -54,3 +54,32 @@ func helperBorn(p *sparse.VecPool, n int) ([]float64, error) {
 	}
 	return p.Get(n), nil
 }
+
+// aliasBothOverwritten drops the buffer once every name that held it has
+// been rebound: the alias does not keep it alive past its own overwrite.
+func aliasBothOverwritten(p *sparse.VecPool, n int) {
+	buf := p.Get(n) // want "overwritten while still live"
+	view := buf
+	buf = nil
+	view = p.Get(n)
+	p.Put(view)
+}
+
+// aliasNeverPut hands the buffer to an alias and drops both.
+func aliasNeverPut(p *sparse.VecPool, n int) {
+	buf := p.Get(n) // want "not returned to the pool"
+	view := buf
+	view[0] = 1
+}
+
+// aliasRedeclared swaps the buffer into a loop-scoped name, which the
+// next iteration's declaration resets to nil before the swap hands it
+// back.
+func aliasRedeclared(p *sparse.VecPool, n int) {
+	buf := p.Get(n) // want "overwritten while still live"
+	for {
+		var view []float64
+		view, buf = buf, view
+		view[0] = 1
+	}
+}
