@@ -43,27 +43,30 @@ func q3Setup(b *testing.B) (*mrm.MRM, *mrm.StateSet, int) {
 // distribution algorithm across error bounds ε at the paper's λ, plus the
 // call the station-p3 benchmark workload makes (the checker's default
 // ε = 1e-9 and the automatic λ) and the batched shape of the csrld-sweep
-// workload: two reward bounds sharing t = 24 in one ReachProbBatch call.
-// Every case reports the probability of its first bound.
+// workload: two reward bounds sharing one time bound in one
+// ReachProbBatch call, at t = 24 and at the workload's shortest t = 12,
+// where both bounds of r150+r450 fall in the first reward band. Every
+// case reports the probability of its first bound.
 func BenchmarkTable2Sericola(b *testing.B) {
 	m, goal, init := q3Setup(b)
 	paper := []float64{adhoc.Q3PaperRewardBound}
 	for _, bc := range []struct {
-		name        string
-		eps, lambda float64
-		rs          []float64
+		name           string
+		eps, lambda, t float64
+		rs             []float64
 	}{
-		{"eps=1e-02", 1e-2, adhoc.PaperLambda, paper},
-		{"eps=1e-04", 1e-4, adhoc.PaperLambda, paper},
-		{"eps=1e-08", 1e-8, adhoc.PaperLambda, paper},
-		{"eps=1e-09,lambda=auto", 1e-9, 0, paper},
-		{"eps=1e-09,lambda=auto,batch=r300+r600", 1e-9, 0, []float64{300, 600}},
+		{"eps=1e-02", 1e-2, adhoc.PaperLambda, adhoc.Q3TimeBound, paper},
+		{"eps=1e-04", 1e-4, adhoc.PaperLambda, adhoc.Q3TimeBound, paper},
+		{"eps=1e-08", 1e-8, adhoc.PaperLambda, adhoc.Q3TimeBound, paper},
+		{"eps=1e-09,lambda=auto", 1e-9, 0, adhoc.Q3TimeBound, paper},
+		{"eps=1e-09,lambda=auto,batch=r300+r600", 1e-9, 0, adhoc.Q3TimeBound, []float64{300, 600}},
+		{"eps=1e-09,lambda=auto,t=12,batch=r150+r450", 1e-9, 0, 12, []float64{150, 450}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var v float64
 			for i := 0; i < b.N; i++ {
-				res, err := sericola.ReachProbBatch(m, goal, adhoc.Q3TimeBound, bc.rs,
+				res, err := sericola.ReachProbBatch(m, goal, bc.t, bc.rs,
 					sericola.Options{Epsilon: bc.eps, Lambda: bc.lambda})
 				if err != nil {
 					b.Fatal(err)
@@ -277,7 +280,7 @@ func BenchmarkRectangleUntil(b *testing.B) {
 
 // BenchmarkParallelWorkers is the sequential-vs-parallel pair for the P3
 // procedures' parallel engine: each sub-benchmark runs the same workload
-// with Workers: 1 (the exact legacy path) and Workers: 0 (all CPUs). On a
+// with Workers: 1 (one goroutine) and Workers: 0 (all CPUs). On a
 // single-core machine the pair should be a wash.
 func BenchmarkParallelWorkers(b *testing.B) {
 	m, goal, _ := q3Setup(b)

@@ -16,7 +16,7 @@ import (
 // TestAdhocParallelEquivalence is the sequential-vs-parallel equivalence
 // suite of the parallel-engine work: on the paper's ad-hoc case study
 // (Q3's Theorem 1 reduction), each of the three P3 procedures must agree
-// between Workers: 1 (the exact legacy path) and parallel worker counts
+// between Workers: 1 (one goroutine) and parallel worker counts
 // within 1e-12, the pseudo-Erlang one bit for bit. It runs under -race in
 // CI, covering every concurrent path.
 func TestAdhocParallelEquivalence(t *testing.T) {

@@ -8,10 +8,11 @@ import (
 
 // Domainflow flags arithmetic that mixes log-space and linear-space
 // values. The numeric kernels keep Poisson terms in log space until the
-// last moment (PoissonPMF returns exp(-λ + n·log λ − log n!)); a caller that adds such a log-space quantity to a linear
-// probability, exponentiates a value that is already linear, or takes
-// the log of a value that is already logarithmic produces garbage that
-// no later clamp can repair. Domains come from //numerics:domain
+// last moment (PoissonPMF returns exp(-λ + n·log λ − log n!)); a caller
+// that adds such a log-space quantity to a linear probability,
+// exponentiates a value that is already linear, or takes the log of a
+// value that is already logarithmic produces garbage that no later clamp
+// can repair. Domains come from //numerics:domain
 // annotations on entry points and are propagated bottom-up through
 // unannotated helpers by the summary engine, per-value through each
 // function by SSA.
