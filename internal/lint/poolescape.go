@@ -14,10 +14,9 @@ import (
 // a longer-lived structure, or captured by a closure. A plain alias
 // (stepAcc = acc) only lends the buffer a second name: it is dropped when
 // the last name holding it is rebound, and any of its names can Put or
-// return it. The early-error
-// return that silently drops a borrowed vector is exactly the leak this
-// catches; the pooled hot path only stays allocation-free when no path
-// loses a buffer.
+// return it. The early-error return that silently drops a borrowed vector
+// is exactly the leak this catches; the pooled hot path only stays
+// allocation-free when no path loses a buffer.
 var Poolescape = &Analyzer{
 	Name:    "poolescape",
 	Doc:     "flags pool-borrowed buffers that miss their Put on some path",
@@ -175,8 +174,7 @@ func analyzePool(pkg *Package, ft *ast.FuncType, body *ast.BlockStmt, s *Summari
 			visited:     make(map[poolState]bool),
 			slot:        make(map[types.Object]uint),
 		}
-		h, _ := w.with(0, birth.obj)
-		w.walk(birth.block, birth.node+1, h, false)
+		w.walk(birth.block, birth.node+1, w.with(0, birth.obj), false)
 		diags = append(diags, w.diags...)
 	}
 	return born, diags
@@ -193,7 +191,8 @@ type poolState struct {
 }
 
 // holderSet is the set of local names bound to the tracked buffer, one bit
-// per name in the walker's slot table.
+// per name in the walker's slot table. A 65th distinct name would not fit;
+// no function aliases one buffer that often.
 type holderSet uint64
 
 type poolWalker struct {
@@ -214,18 +213,14 @@ func (w *poolWalker) has(h holderSet, obj types.Object) bool {
 	return ok && h&(1<<i) != 0
 }
 
-// with adds obj to h. It fails once 64 distinct names have held the
-// buffer, which no real function reaches.
-func (w *poolWalker) with(h holderSet, obj types.Object) (holderSet, bool) {
+// with adds obj to h.
+func (w *poolWalker) with(h holderSet, obj types.Object) holderSet {
 	i, ok := w.slot[obj]
 	if !ok {
-		if len(w.slot) == 64 {
-			return h, false
-		}
 		i = uint(len(w.slot))
 		w.slot[obj] = i
 	}
-	return h | 1<<i, true
+	return h | 1<<i
 }
 
 // mentions reports whether the subtree references any name in h.
@@ -251,10 +246,10 @@ func (w *poolWalker) leak(at token.Pos, overwrite bool) {
 }
 
 // walk advances the ownership automaton from block b, node index start,
-// with the buffer currently bound to the names in h. shared marks buffers a closure
-// has captured: aliased beyond what the walk can see, so leaks are no
-// longer provable (and not reported), but a later Put still ends tracking
-// and a later return still hands the buffer to the caller.
+// with the buffer currently bound to the names in h. shared marks buffers
+// a closure has captured: aliased beyond what the walk can see, so leaks
+// are no longer provable (and not reported), but a later Put still ends
+// tracking and a later return still hands the buffer to the caller.
 func (w *poolWalker) walk(bi, start int, h holderSet, shared bool) {
 	st := poolState{block: bi, start: start, holders: h, shared: shared}
 	if w.visited[st] {
@@ -484,10 +479,7 @@ func (w *poolWalker) rebind(h holderSet, lhs, rhs []ast.Expr) (poolAction, holde
 			// Stored into a field, map or index expression.
 			return poolEscape, h
 		case held:
-			var ok bool
-			if next, ok = w.with(next, dst); !ok {
-				return poolShare, h
-			}
+			next = w.with(next, dst)
 		case w.has(next, dst):
 			next &^= 1 << w.slot[dst]
 		}

@@ -492,10 +492,10 @@ func liveRows(m *mrm.MRM, rho []float64) []int {
 // multiply-add per term and level (numeric.BinomialStep, no Exp), while
 // the recursion itself (the dominant O(m·N²) row products) runs once for
 // the whole batch. A target's row depends only on its x and the level, so
-// it is the same in a batch as alone. For each target the
-// accumulation performs the identical floating-point operations in the
-// identical order as a single-target run, so batch results are bitwise
-// equal to unbatched ones. A dead row's hMat row is never touched and
+// it is the same in a batch as alone. For each target the accumulation
+// performs the identical floating-point operations in the identical order
+// as a single-target run, so batch results are bitwise equal to unbatched
+// ones. A dead row's hMat row is never touched and
 // stays +0, which is what adding its +0 tensor entries would leave.
 //
 // Column slicing is exact: every operation of the recursion — the PC
@@ -757,10 +757,6 @@ func run(p *sparse.CSR, rho, bands []float64, live []int, targets []target, pois
 		for h := 1; h <= mBands; h++ {
 			prev[h], cur[h] = cur[h], prev[h]
 		}
-		// One parallel region per level: each worker owns a contiguous row
-		// range and runs the full per-row pipeline — the Pⁿ update (into
-		// pnNext, which holds P^level until the swap below), the products,
-		// the up/down sweeps and the accumulation — in sequential order.
 		for ti, tg := range targets {
 			numeric.BinomialStep(binom[ti][:level+1], tg.x)
 		}
@@ -768,6 +764,10 @@ func run(p *sparse.CSR, rho, bands []float64, live []int, targets []target, pois
 		if w != 0 {
 			weigh()
 		}
+		// One parallel region per level: each worker owns a contiguous row
+		// range and runs the full per-row pipeline — the Pⁿ update (into
+		// pnNext, which holds P^level until the swap below), the products,
+		// the up/down sweeps and the accumulation — in sequential order.
 		parallel.For(workers, n, levelBody)
 		pn, pnNext = pnNext, pn
 	}
