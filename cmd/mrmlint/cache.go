@@ -25,7 +25,9 @@ const cacheFormat = "mrmlint-cache-v1"
 // keyed by a hash chain that covers everything a package's diagnostics
 // can depend on — the analyzer registry (names and versions via
 // lint.RegistryHash), the enabled subset, the module go directive, the
-// package's own source bytes, and, recursively, the keys of its
+// toolchain version (standard-library types come from the toolchain, so
+// a cache restored under another Go release must not replay its
+// findings), the package's own source bytes, and, recursively, the keys of its
 // module-internal dependencies. A source edit therefore invalidates the
 // edited package and every package whose interprocedural summaries could
 // have seen the change, while unrelated packages stay warm.
@@ -45,10 +47,11 @@ type lintCache struct {
 
 // newLintCache opens (creating if needed) a cache under cacheDir for the
 // module rooted at moduleDir. analyzers is the enabled subset; goVersion
-// the module's go directive. A relative cacheDir is resolved against the
+// the module's go directive; toolchain the running Go release
+// (runtime.Version()). A relative cacheDir is resolved against the
 // module root, so CI and local runs share `.mrmlint-cache/` regardless of
 // the invocation directory.
-func newLintCache(cacheDir, moduleDir, modulePath, goVersion string, analyzers []*lint.Analyzer) (*lintCache, error) {
+func newLintCache(cacheDir, moduleDir, modulePath, goVersion, toolchain string, analyzers []*lint.Analyzer) (*lintCache, error) {
 	if !filepath.IsAbs(cacheDir) {
 		cacheDir = filepath.Join(moduleDir, cacheDir)
 	}
@@ -65,6 +68,7 @@ func newLintCache(cacheDir, moduleDir, modulePath, goVersion string, analyzers [
 	fmt.Fprintln(h, lint.RegistryHash())
 	fmt.Fprintln(h, strings.Join(enabled, ","))
 	fmt.Fprintln(h, goVersion)
+	fmt.Fprintln(h, toolchain)
 	return &lintCache{
 		dir:        cacheDir,
 		moduleDir:  moduleDir,

@@ -138,11 +138,11 @@ func TestCacheSaltCoversAnalyzerSet(t *testing.T) {
 
 	// Directly: caches built over different analyzer sets must key the
 	// same package differently.
-	full, err := newLintCache(cacheDir, dir, "example.com/cachemod", "1.22", lint.All())
+	full, err := newLintCache(cacheDir, dir, "example.com/cachemod", "1.22", "go1.24.0", lint.All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, err := newLintCache(cacheDir, dir, "example.com/cachemod", "1.22", subset)
+	partial, err := newLintCache(cacheDir, dir, "example.com/cachemod", "1.22", "go1.24.0", subset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +157,20 @@ func TestCacheSaltCoversAnalyzerSet(t *testing.T) {
 	}
 	if kFull == kPartial {
 		t.Error("cache key did not change with the enabled analyzer set")
+	}
+
+	// Standard-library types come from the toolchain: another Go release
+	// keys the same package differently.
+	other, err := newLintCache(cacheDir, dir, "example.com/cachemod", "1.22", "go1.25.0", lint.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kOther, err := other.key(bDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kFull == kOther {
+		t.Error("cache key did not change with the toolchain version")
 	}
 }
 

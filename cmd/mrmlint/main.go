@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -221,7 +222,7 @@ func lintPackagesCached(stdout io.Writer, dir string, patterns []string, analyze
 	}
 	var cache *lintCache
 	if cacheDir != "" {
-		cache, err = newLintCache(cacheDir, loader.ModuleDir, loader.ModulePath, loader.GoVersion, analyzers)
+		cache, err = newLintCache(cacheDir, loader.ModuleDir, loader.ModulePath, loader.GoVersion, runtime.Version(), analyzers)
 		if err != nil {
 			return 0, nil, err
 		}
