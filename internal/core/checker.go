@@ -67,13 +67,17 @@ func (a Algorithm) String() string {
 	}
 }
 
-// LumpMode controls the automatic lumping pre-pass of the exported
-// checking entry points: before evaluating a formula, the checker computes
-// the ordinary-lumpability quotient respecting only the formula's atomic
-// propositions and evaluates on the quotient, lifting verdicts and
-// probabilities back through the block map. The zero value enables the
-// pre-pass, so existing Options literals pick it up automatically;
-// LumpOff restores direct evaluation on the full model.
+// LumpMode controls automatic lumping. A top-level P over a time-bounded
+// until with propositional operands lumps the until's Theorem-1 view: the
+// model with Ψ and ¬(Φ∨Ψ) absorbing, quotiented respecting Ψ
+// (reducedFor). Every other formula goes through the pre-pass of the
+// exported checking entry points: the checker computes the
+// ordinary-lumpability quotient respecting only the formula's atomic
+// propositions and evaluates on the quotient. Either way verdicts and
+// probabilities are lifted back through the block map, and a query
+// partitions the full model at most once. The zero value enables lumping,
+// so existing Options literals pick it up automatically; LumpOff restores
+// direct evaluation on the full model.
 type LumpMode int
 
 const (
@@ -257,15 +261,11 @@ func (c *Checker) NumericsReport() *obs.Report {
 }
 
 // Sat computes the satisfaction set Sat(Φ) by the bottom-up traversal of
-// the parse tree described in Section 3. Unless Options.Lump is off, a
-// lumping pre-pass first quotients the model with respect to the formula's
-// atomic propositions (lumpFor) and the traversal runs on the quotient;
-// the returned set is lifted back to the original states.
+// the parse tree described in Section 3. Unless Options.Lump is off, the
+// traversal runs on a quotient (see LumpMode and prePass) and the
+// returned set is lifted back to the original states.
 func (c *Checker) Sat(f logic.StateFormula) (*mrm.StateSet, error) {
-	q, lr, err := c.lumpFor(logic.Atoms(f))
-	if err != nil {
-		return nil, err
-	}
+	q, lr := c.prePass(f)
 	sat, err := q.sat(f)
 	if err != nil {
 		return nil, err
@@ -367,17 +367,9 @@ func (c *Checker) sat(f logic.StateFormula) (*mrm.StateSet, error) {
 // distribution: it holds when every state with positive initial probability
 // satisfies it. The lumping pre-pass applies as in Sat; no lift-back is
 // needed, because a block carries positive initial mass exactly when one of
-// its states does and inherits their common verdict. The one exception is
-// the truncated fast path over propositional operands (see skipsLump),
-// which checks the full model directly.
+// its states does and inherits their common verdict.
 func (c *Checker) Check(f logic.StateFormula) (bool, error) {
-	if p, ok := c.skipsLump(f); ok && !p.Query {
-		return c.check(f)
-	}
-	q, _, err := c.lumpFor(logic.Atoms(f))
-	if err != nil {
-		return false, err
-	}
+	q, _ := c.prePass(f)
 	return q.check(f)
 }
 
@@ -470,16 +462,24 @@ func (c *Checker) initFastShape(f logic.StateFormula) (logic.Prob, logic.Until, 
 	return p, u, true
 }
 
-// skipsLump reports whether f takes the truncated forward fast path with
-// propositional operands, the one shape that runs without the lump
-// pre-pass: its Sat(Φ) and Sat(Ψ) are label algebra, and its sweeps read
-// only the rows their windows reach, so the check costs O(active·row-nnz)
-// while a quotient would cost a pass over the whole space first. Operands
-// with nested P or S formulas do numerical work over every state, which
-// the quotient shrinks, so they keep the pre-pass.
-func (c *Checker) skipsLump(f logic.StateFormula) (logic.Prob, bool) {
-	p, u, ok := c.initFastShape(f)
-	return p, ok && propositional(u.Left) && propositional(u.Right)
+// skipsLump reports whether a top-level formula runs without the
+// atom-keyed pre-pass: a P over an until with propositional operands and a
+// finite time bound. Such an until lumps its own Theorem-1 view instead
+// (reducedFor), which the absorbing Ψ and ¬(Φ∨Ψ) states make coarser than
+// the atom quotient, and with truncation on its [0,t] form takes the
+// forward fast path, which reads only the rows its windows reach.
+// Operands with nested P or S formulas do numerical work over every
+// state, which the atom quotient shrinks, so they keep the pre-pass, as do
+// S, X and the untils without a time bound (P0 and the duality route of
+// P2).
+func skipsLump(f logic.StateFormula) bool {
+	p, ok := f.(logic.Prob)
+	if !ok {
+		return false
+	}
+	u, ok := p.Path.(logic.Until)
+	return ok && u.Time.Valid() && u.Reward.Valid() && !math.IsInf(u.Time.Hi, 1) &&
+		propositional(u.Left) && propositional(u.Right)
 }
 
 // propositional reports whether f is built from atomic propositions by
@@ -509,16 +509,10 @@ func propositional(f logic.StateFormula) bool {
 // window, not to the state count — instead of the dense all-states Values
 // computation. ok reports whether the fast path applied; when false the
 // caller falls back to Values (and should say so, since the fallback
-// defeats the point of truncation). Like Check, it skips the lump
-// pre-pass when the operands are propositional (see skipsLump).
+// defeats the point of truncation). Like Check, it runs the lump
+// pre-pass unless skipsLump holds.
 func (c *Checker) QueryInitial(f logic.StateFormula) (val float64, ok bool, err error) {
-	if _, ok := c.skipsLump(f); ok {
-		return c.queryInitial(f)
-	}
-	q, _, err := c.lumpFor(logic.Atoms(f))
-	if err != nil {
-		return 0, false, err
-	}
+	q, _ := c.prePass(f)
 	return q.queryInitial(f)
 }
 
@@ -563,10 +557,7 @@ func (c *Checker) queryInitial(f logic.StateFormula) (float64, bool, error) {
 // pre-pass applies as in Sat — every state of a block receives its block's
 // value — and the returned slice is a plain allocation owned by the caller.
 func (c *Checker) Values(f logic.StateFormula) ([]float64, error) {
-	q, lr, err := c.lumpFor(logic.Atoms(f))
-	if err != nil {
-		return nil, err
-	}
+	q, lr := c.prePass(f)
 	vals, err := q.values(f)
 	if err != nil {
 		return nil, err
@@ -604,10 +595,7 @@ func (c *Checker) values(f logic.StateFormula) ([]float64, error) {
 // the borrowed buffer back in, so callers outside the package never hold
 // (or leak) pooled memory.
 func (c *Checker) PathProb(f logic.PathFormula) ([]float64, error) {
-	q, lr, err := c.lumpFor(logic.PathAtoms(f))
-	if err != nil {
-		return nil, err
-	}
+	q, lr := c.prePass(logic.Prob{Path: f})
 	vals, err := q.pathProb(f)
 	if err != nil {
 		return nil, err
@@ -638,11 +626,9 @@ func (c *Checker) UntilProbBatch(left, right logic.StateFormula, t float64, rs [
 			return nil, fmt.Errorf("core: until batch: invalid reward bound %v", r)
 		}
 	}
-	atoms := append(logic.Atoms(left), logic.Atoms(right)...)
-	q, lr, err := c.lumpFor(atoms)
-	if err != nil {
-		return nil, err
-	}
+	q, lr := c.prePass(logic.Prob{Path: logic.Until{
+		Left: left, Right: right, Time: logic.Interval{Hi: t}, Reward: logic.Interval{Hi: rs[0]},
+	}})
 	phi, err := q.sat(left)
 	if err != nil {
 		return nil, err
@@ -690,23 +676,10 @@ func (c *Checker) liftOut(lr *lump.Result, vals []float64) []float64 {
 	return out
 }
 
-// SteadyProb returns the long-run probability of residing in Sat(Φ) for
-// every start state. The lumping pre-pass applies as in Sat: ordinary
-// lumpability makes the block process Markov for every start state, so the
-// long-run fraction spent in a union of blocks lifts exactly.
-func (c *Checker) SteadyProb(f logic.StateFormula) ([]float64, error) {
-	q, lr, err := c.lumpFor(logic.Atoms(f))
-	if err != nil {
-		return nil, err
-	}
-	vals, err := q.steadyProb(f)
-	if err != nil {
-		return nil, err
-	}
-	return q.liftOut(lr, vals), nil
-}
-
-// steadyProb is the body of SteadyProb on this checker's own model.
+// steadyProb returns the long-run probability of residing in Sat(Φ) for
+// every start state. Ordinary lumpability makes the block process Markov
+// for every start state, so on a quotient the long-run fraction spent in a
+// union of blocks lifts exactly.
 func (c *Checker) steadyProb(f logic.StateFormula) ([]float64, error) {
 	sat, err := c.sat(f)
 	if err != nil {
@@ -715,43 +688,115 @@ func (c *Checker) steadyProb(f logic.StateFormula) ([]float64, error) {
 	return steady.Probabilities(c.m, sat)
 }
 
-// lumpFor runs the automatic lumping pre-pass for a formula with the given
-// atomic propositions: it returns the checker to evaluate on and, when the
-// pre-pass produced a proper quotient, the lump result to lift verdicts
-// back through (nil when evaluation runs on c itself). Outcomes are
-// memoised per atom set — sorted and deduplicated, so a proposition
-// shared by both sides of an until keys the same quotient as the whole
-// formula — and one quotient serves every formula over the same
-// propositions; the quotient sub-checker owns its own memo and pool,
-// keyed to the quotient model, and shares the Obs recorder.
-func (c *Checker) lumpFor(atoms []string) (*Checker, *lump.Result, error) {
-	if !c.opts.Lump.enabled() || c.memo == nil || c.m.HasImpulses() {
-		return c, nil, nil
-	}
-	slices.Sort(atoms)
-	atoms = slices.Compact(atoms)
-	key := strings.Join(atoms, "\x00")
-	entry := c.memo.lump(key, func() *lumpEntry { return c.buildLump(atoms) })
-	if entry == nil || entry.sub == nil {
-		return c, nil, nil
-	}
-	// The cached sub-checker is recorder-free (see lumpEntry); graft this
-	// call's recorder onto a view so concurrent requests sharing the
-	// quotient still charge disjoint ledgers.
-	if c.opts.Obs == nil {
-		return entry.sub, entry.res, nil
-	}
-	return entry.sub.WithRecorder(c.opts.Obs), entry.res, nil
+// lumps reports whether this checker lumps: lumping is on, there is a memo
+// to keep the quotients in, and the model has no impulse rewards (which
+// lump refuses).
+func (c *Checker) lumps() bool {
+	return c.opts.Lump.enabled() && c.memo != nil && !c.m.HasImpulses()
 }
 
-// buildLump computes one pre-pass outcome: the capped quotient and its
+// prePass runs the automatic lumping pre-pass for a top-level formula: it
+// lumps the model respecting the formula's atoms and returns the checker
+// to evaluate f on and, when the lump produced a proper quotient, the lump
+// result to lift verdicts back through (nil when evaluation runs on c's
+// model). When skipsLump holds it returns c itself, whose until then
+// lumps its Theorem-1 view (reducedFor). Outcomes are memoised per sorted
+// atom set, so one quotient serves every formula over the same
+// propositions; the quotient sub-checker owns its own memo and pool,
+// keyed to the quotient model, and shares the Obs recorder. Neither the
+// sub-checker nor the view of c returned when the lump declines lumps
+// again, so nested untils never partition the model a second time.
+func (c *Checker) prePass(f logic.StateFormula) (*Checker, *lump.Result) {
+	if skipsLump(f) || !c.lumps() {
+		return c, nil
+	}
+	atoms := logic.Atoms(f)
+	slices.Sort(atoms)
+	key := lumpKey{atoms: strings.Join(atoms, "\x00")}
+	entry := c.memo.lump(key, func() *lumpEntry {
+		return c.buildLump(c.m.N(), func() (*lump.Result, error) {
+			return lump.QuotientLimited(c.m, atoms, lumpMaxRounds)
+		})
+	})
+	if entry.sub == nil {
+		cc := *c
+		cc.opts.Lump = LumpOff
+		return &cc, nil
+	}
+	return entry.checker(c.opts.Obs), entry.res
+}
+
+// reducedFor returns the lumped Theorem-1 view of Φ U Ψ, given
+// phi = Sat(Φ) and psi = Sat(Ψ): the model with Ψ and ¬(Φ∨Ψ) absorbing
+// with reward zero, quotiented respecting Ψ (lump.QuotientAbsorbing). It
+// returns a sub-checker on the quotient and the memo entry with the block
+// map and the operands on the quotient, or nils when this checker does not
+// lump or the lump declined. Entries are memoised under (Sat(Φ), Sat(Ψ)),
+// so untils whose operands denote the same sets share one quotient
+// whatever their syntax, bounds and procedure.
+//
+// The quotient pays only where it merges states that the Theorem 1
+// reduction keeps apart, so it counts as trivial unless it is smaller
+// than that reduction: one state per Φ∧¬Ψ state, a goal state and, when
+// ¬(Φ∨Ψ) is not empty, a fail state.
+func (c *Checker) reducedFor(phi, psi *mrm.StateSet) (*Checker, *lumpEntry) {
+	if !c.lumps() {
+		return nil, nil
+	}
+	key := lumpKey{phi: phi.Key(), psi: psi.Key()}
+	entry := c.memo.lump(key, func() *lumpEntry {
+		reduction := phi.Minus(psi).Len() + 1
+		if !phi.Union(psi).Complement().IsEmpty() {
+			reduction++
+		}
+		e := c.buildLump(reduction, func() (*lump.Result, error) {
+			return lump.QuotientAbsorbing(c.m, phi.Complement().Union(psi), psi, lumpMaxRounds)
+		})
+		if e.sub != nil {
+			e.phi, e.psi = blockSet(e.res, phi), blockSet(e.res, psi)
+		}
+		return e
+	})
+	if entry.sub == nil {
+		return nil, nil
+	}
+	return entry.checker(c.opts.Obs), entry
+}
+
+// blockSet returns the blocks whose first state is in set. The view's
+// partition respects Ψ, so Ψ lifts exactly. A block can mix Φ and ¬Φ
+// states only when none of them leaves the block, a zero-reward absorbing
+// block outside Ψ whose value is 0 whether it counts as Φ or not.
+func blockSet(res *lump.Result, set *mrm.StateSet) *mrm.StateSet {
+	out := mrm.NewStateSet(len(res.Blocks))
+	for b, members := range res.Blocks {
+		if set.Contains(members[0]) {
+			out.Add(b)
+		}
+	}
+	return out
+}
+
+// lift maps a vector over the quotient of e, borrowed from q's pool, onto
+// this checker's states in a buffer from c's pool, and gives the quotient
+// vector back.
+func (c *Checker) lift(e *lumpEntry, q *Checker, vals []float64) []float64 {
+	out := c.pool.Get(c.m.N())
+	for s, b := range e.res.BlockOf {
+		out[s] = vals[b]
+	}
+	q.pool.Put(vals)
+	return out
+}
+
+// buildLump computes one lump outcome: the capped quotient and its
 // sub-checker, or a zero entry when lumping declines — capped refinement
-// (ErrRoundsExceeded) or a trivial quotient, where the indirection would
-// cost without saving. Both declines are safe: the formula is simply
-// checked on the full model.
-func (c *Checker) buildLump(atoms []string) *lumpEntry {
+// (ErrRoundsExceeded) or a trivial quotient, one of at least trivialAt
+// blocks, where the indirection would cost without saving. Both declines
+// are safe: the formula is simply checked on the full model.
+func (c *Checker) buildLump(trivialAt int, quotient func() (*lump.Result, error)) *lumpEntry {
 	span := c.opts.Obs.StartSpan("core.lump")
-	res, err := lump.QuotientLimited(c.m, atoms, lumpMaxRounds)
+	res, err := quotient()
 	span.End()
 	if err != nil {
 		if c.opts.Obs != nil {
@@ -763,7 +808,7 @@ func (c *Checker) buildLump(atoms []string) *lumpEntry {
 		c.opts.Obs.Gauge("lump.states").SetMax(float64(c.m.N()))
 		c.opts.Obs.Gauge("lump.blocks").SetMax(float64(res.Model.N()))
 	}
-	if res.Model.N() >= c.m.N() {
+	if res.Model.N() >= trivialAt {
 		if c.opts.Obs != nil {
 			c.opts.Obs.Counter("lump.trivial").Inc()
 		}
@@ -772,11 +817,11 @@ func (c *Checker) buildLump(atoms []string) *lumpEntry {
 	subOpts := c.opts
 	// The cached entry outlives this request: a baked-in recorder would
 	// funnel every later request's charges into the builder's ledger, so
-	// the sub-checker is stored recorder-free and lumpFor grafts the
-	// caller's recorder on per use.
+	// the sub-checker is stored recorder-free and lumpEntry.checker grafts
+	// the caller's recorder on per use.
 	subOpts.Obs = nil
-	// The quotient is already coarsest for these atoms; re-lumping inside
-	// the sub-checker could only waste a refinement pass.
+	// The query has partitioned the model; the quotient is not lumped
+	// again.
 	subOpts.Lump = LumpOff
 	sub := New(res.Model, subOpts)
 	return &lumpEntry{res: res, sub: sub}
@@ -866,7 +911,7 @@ func (c *Checker) probUntil(u logic.Until) ([]float64, error) {
 		return c.untilUnbounded(phi, psi)
 	case timeB && !rewB:
 		if u.Time.StartsAtZero() {
-			return transient.TimeBoundedUntil(c.m, phi, psi, u.Time.Hi, c.transientOpts())
+			return c.untilTime(phi, psi, u.Time.Hi)
 		}
 		return c.untilTimeInterval(phi, psi, u.Time)
 	case !timeB && rewB:
@@ -884,8 +929,11 @@ func (c *Checker) probUntil(u logic.Until) ([]float64, error) {
 			return nil, err
 		}
 		// New (not a struct literal) so the dual checker gets its own
-		// memo — cache entries are keyed to the dual model.
-		dual := New(d, c.opts)
+		// memo — cache entries are keyed to the dual model. The dual model
+		// is not lumped: the query has partitioned the model already.
+		dualOpts := c.opts
+		dualOpts.Lump = LumpOff
+		dual := New(d, dualOpts)
 		return dual.untilTimeInterval(phi, psi, u.Reward)
 	default:
 		if u.Time.StartsAtZero() && u.Reward.StartsAtZero() {
@@ -962,10 +1010,28 @@ func (c *Checker) untilUnbounded(phi, psi *mrm.StateSet) ([]float64, error) {
 	return x, nil
 }
 
+// untilTime computes Pr_s(Φ U^[0,t] Ψ), the P1 procedure. When this
+// checker lumps, the sweep runs on the lumped Theorem-1 view
+// (reducedFor), whose Ψ and ¬(Φ∨Ψ) rows are empty already, so no
+// absorbing model is derived.
+func (c *Checker) untilTime(phi, psi *mrm.StateSet, t float64) ([]float64, error) {
+	q, e := c.reducedFor(phi, psi)
+	if q == nil {
+		return transient.TimeBoundedUntil(c.m, phi, psi, t, c.transientOpts())
+	}
+	vals, err := transient.ReachProbAll(q.m, e.psi, t, q.transientOpts())
+	if err != nil {
+		return nil, err
+	}
+	return c.lift(e, q, vals), nil
+}
+
 // untilTimeInterval computes Φ U^[t1,t2] Ψ (t1 > 0, reward unbounded) by
 // the standard two-phase CSL computation: probabilities for the residual
 // until of length t2−t1, then a backward transient sweep of length t1 on
-// the model with ¬Φ made absorbing.
+// the model with ¬Φ made absorbing. When Φ and Ψ are disjoint, ¬Φ is
+// Ψ ∪ ¬(Φ∨Ψ), the absorbing set of the Theorem-1 view, so a lumping
+// checker runs both phases on the view's quotient (viewInterval).
 func (c *Checker) untilTimeInterval(phi, psi *mrm.StateSet, iv logic.Interval) ([]float64, error) {
 	if math.IsInf(iv.Hi, 1) {
 		// Φ U^[t1,∞) Ψ: stay in Φ for t1, then an unbounded until.
@@ -975,13 +1041,41 @@ func (c *Checker) untilTimeInterval(phi, psi *mrm.StateSet, iv logic.Interval) (
 		}
 		return c.phaseOne(phi, tail, iv.Lo)
 	}
-	tail, err := transient.TimeBoundedUntil(c.m, phi, psi, iv.Hi-iv.Lo, c.transientOpts())
+	if phi.Intersect(psi).IsEmpty() {
+		if q, e := c.reducedFor(phi, psi); q != nil {
+			vals, err := q.viewInterval(e.psi, iv)
+			if err != nil {
+				return nil, err
+			}
+			return c.lift(e, q, vals), nil
+		}
+	}
+	tail, err := c.untilTime(phi, psi, iv.Hi-iv.Lo)
 	if err != nil {
 		return nil, err
 	}
 	// phaseOne masks tail into its own terminal vector; the residual-until
 	// buffer goes back to the pool rather than leaking out of the regime.
 	res, err := c.phaseOne(phi, tail, iv.Lo)
+	c.pool.Put(tail)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// viewInterval computes Φ U^[t1,t2] Ψ on the quotient of a Theorem-1 view
+// whose Φ is disjoint from Ψ, given the view's Ψ blocks: the absorbing
+// rows of both phases are the view's empty ones. Phase two is a
+// reachability sweep; phase one sweeps its values with the Ψ blocks
+// zeroed, the ¬(Φ∨Ψ) blocks being 0 already.
+func (c *Checker) viewInterval(psi *mrm.StateSet, iv logic.Interval) ([]float64, error) {
+	tail, err := transient.ReachProbAll(c.m, psi, iv.Hi-iv.Lo, c.transientOpts())
+	if err != nil {
+		return nil, err
+	}
+	psi.Each(func(b int) { tail[b] = 0 })
+	res, err := transient.BackwardWeighted(c.m, tail, iv.Lo, c.transientOpts())
 	c.pool.Put(tail)
 	if err != nil {
 		return nil, err
@@ -1135,6 +1229,19 @@ func (c *Checker) untilTimeReward(phi, psi *mrm.StateSet, t, r float64) ([]float
 // resolution — so they loop, still sharing the reduction. results[ri] is
 // bitwise equal to an unbatched untilTimeReward(phi, psi, t, rs[ri]) call.
 func (c *Checker) untilTimeRewardBatch(phi, psi *mrm.StateSet, t float64, rs []float64) ([][]float64, error) {
+	// A lumping checker reduces the lumped Theorem-1 view (reducedFor)
+	// rather than the model: its sub-checker's reduction amalgamates the
+	// view's Ψ and ¬(Φ∨Ψ) blocks.
+	if q, e := c.reducedFor(phi, psi); q != nil {
+		outs, err := q.untilTimeRewardBatch(e.phi, e.psi, t, rs)
+		if err != nil {
+			return nil, err
+		}
+		for ri, v := range outs {
+			outs[ri] = c.lift(e, q, v)
+		}
+		return outs, nil
+	}
 	// The memoised reduction makes the corner evaluations of
 	// untilRectangle share one reduced model, which in turn lets the
 	// pointer-keyed uniformised-matrix cache hit across them.

@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"github.com/performability/csrl/internal/adhoc"
 	"github.com/performability/csrl/internal/cluster"
 	"github.com/performability/csrl/internal/logic"
+	"github.com/performability/csrl/internal/lump"
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/obs"
 )
@@ -23,11 +25,14 @@ func lumpTestModel(t *testing.T) *mrm.MRM {
 	return m
 }
 
-// TestSatLumpCrosscheck is the Sat-level acceptance test of the automatic
-// lumping pre-pass: for each formula class (P1 transient, steady-state,
-// and the reward-bounded P3 class under all three procedures), verdict
-// sets and per-state probabilities must agree between a lump-off and a
-// lump-on checker to 1e-12.
+// TestSatLumpCrosscheck is the Sat-level acceptance test of automatic
+// lumping: for each formula class (P1 transient, steady-state, the
+// reward-bounded P3 class under all three procedures, interval until and
+// the P3 rectangle), verdict sets and per-state probabilities must agree
+// between a lump-off and a lump-on checker to 1e-12. The top-level untils
+// lump their Theorem-1 view, the steady-state formula its atoms; the
+// interval untils cover both phases on the view (disjoint operands) and
+// phase one on the model (overlapping ones).
 func TestSatLumpCrosscheck(t *testing.T) {
 	m := lumpTestModel(t)
 	cases := []struct {
@@ -40,6 +45,11 @@ func TestSatLumpCrosscheck(t *testing.T) {
 		{"P1 eventually", "P<0.99 [ F{t<=1} degraded ]", "P=? [ F{t<=1} degraded ]", nil},
 		{"steady", "S>=0.3 [ qos ]", "S=? [ qos ]", nil},
 		{"P3 rectangle", "P>0.05 [ qos U{t<=2, r<=3} down ]", "P=? [ qos U{t<=2, r<=3} down ]",
+			[]Algorithm{AlgSericola, AlgErlang, AlgDiscretise}},
+		{"interval until", "P>=0.05 [ !down U{t in [0.5,2]} down ]", "P=? [ !down U{t in [0.5,2]} down ]", nil},
+		{"interval until overlapping", "P>=0.3 [ true U{t in [0.5,2]} degraded ]", "P=? [ true U{t in [0.5,2]} degraded ]", nil},
+		{"P1 restricted until", "P>=0.01 [ qos U{t<=2} down ]", "P=? [ qos U{t<=2} down ]", nil},
+		{"P3 corners", "P>0.01 [ !down U{t in [0.5,2], r in [1,3]} down ]", "P=? [ !down U{t in [0.5,2], r in [1,3]} down ]",
 			[]Algorithm{AlgSericola, AlgErlang, AlgDiscretise}},
 	}
 	for _, tc := range cases {
@@ -117,12 +127,14 @@ func TestSatLumpCrosscheck(t *testing.T) {
 // TestSatLumpIdentityQuotient uses a formula whose atoms name every place,
 // forcing the identity partition: the pre-pass must decline (recording
 // lump.trivial) and the checker must fall back to the unlumped model with
-// identical results.
+// identical results. The bounded formula nests its P in a conjunction, so
+// it takes the atom-keyed pre-pass; the top-level query lumps the until's
+// Theorem-1 view, which merges the absorbing states.
 func TestSatLumpIdentityQuotient(t *testing.T) {
 	m := lumpTestModel(t)
 	// left_up/left_down (and the right/backbone pairs) take three token
 	// patterns each across N=2, so these atoms split every state apart.
-	f := logic.MustParse("P>=0.0 [ (left_up | left_down) U{t<=1} (right_up & right_down & backbone_up) ]")
+	f := logic.MustParse("true & P>=0.0 [ (left_up | left_down) U{t<=1} (right_up & right_down & backbone_up) ]")
 	q := logic.MustParse("P=? [ (left_up | left_down) U{t<=1} (right_up & right_down & backbone_up) ]")
 
 	offOpts := DefaultOptions()
@@ -180,9 +192,11 @@ func TestLumpPrePassMemoised(t *testing.T) {
 	}
 }
 
-// TestLumpKeyDeduplicatesAtoms checks that UntilProbBatch, whose two sides
-// of `!down U down` both name down, reuses the quotient PathProb built for
-// the same until instead of keying a second one on the repeated atom.
+// TestLumpKeyDeduplicatesAtoms checks that UntilProbBatch reuses the
+// quotient PathProb built for the same until. The quotient of an until's
+// Theorem-1 view is keyed by the pair (Sat(Φ), Sat(Ψ)), so a proposition
+// named on both sides of `!down U down`, operands written differently but
+// denoting the same sets, and another bound all hit the same entry.
 func TestLumpKeyDeduplicatesAtoms(t *testing.T) {
 	m := lumpTestModel(t)
 	opts := DefaultOptions()
@@ -203,8 +217,88 @@ func TestLumpKeyDeduplicatesAtoms(t *testing.T) {
 			t.Fatalf("state %d: batch %g vs single %g", s, batch[0][s], single[s])
 		}
 	}
+	same := logic.MustParse("P=? [ (!down | false) U{t<=1, r<=2} (down & true) ]").(logic.Prob).Path.(logic.Until)
+	if _, err := c.UntilProbBatch(same.Left, same.Right, 1, []float64{2, 4}); err != nil {
+		t.Fatal(err)
+	}
 	rep := c.NumericsReport()
 	if span, ok := rep.Spans["core.lump"]; !ok || span.Count != 1 {
 		t.Errorf("expected exactly one quotient build, spans: %v", rep.Spans)
+	}
+}
+
+// TestCheckLumpsTheoremOneViewOnce checks that a top-level dense Check of
+// a time-bounded until on cluster:N partitions the model once — the until's
+// Theorem-1 view, not the atoms and then the view — and agrees with the
+// unlumped verdict.
+func TestCheckLumpsTheoremOneViewOnce(t *testing.T) {
+	p, err := cluster.Default(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := lump.QuotientAbsorbing(m, m.Label("down"), m.Label("down"), lumpMaxRounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := logic.MustParse("P<=0.001 [ !down U{t<=24} down ]")
+	offOpts := DefaultOptions()
+	offOpts.Lump = LumpOff
+	want, err := New(m, offOpts).Check(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Obs = obs.New()
+	c := New(m, opts)
+	got, err := c.Check(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("lumped verdict %v, unlumped %v", got, want)
+	}
+	rep := c.NumericsReport()
+	if span := rep.Spans["core.lump"]; span.Count != 1 {
+		t.Errorf("core.lump spans: %d, want 1", span.Count)
+	}
+	if blocks := rep.Gauges["lump.blocks"]; int(blocks) != view.Model.N() || view.Model.N() >= m.N() {
+		t.Errorf("lumped %g blocks; the view has %d of %d states", blocks, view.Model.N(), m.N())
+	}
+}
+
+// TestTheoremOneViewDeclinedWhenNoSmaller checks that the view of Q3 on the
+// station model, whose quotient merges only the absorbing states the
+// Theorem 1 reduction amalgamates anyway, is declined as trivial, and that
+// the check then runs the unlumped route bit for bit.
+func TestTheoremOneViewDeclinedWhenNoSmaller(t *testing.T) {
+	m, err := adhoc.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := logic.MustParse("P=? [ (call_idle | doze) U{t<=24, r<=550} call_initiated ]")
+	offOpts := DefaultOptions()
+	offOpts.Lump = LumpOff
+	want, err := New(m, offOpts).Values(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Obs = obs.New()
+	c := New(m, opts)
+	got, err := c.Values(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range want {
+		if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
+			t.Errorf("state %d: %v, unlumped %v", s, got[s], want[s])
+		}
+	}
+	if n := c.NumericsReport().Counters["lump.trivial"]; n != 1 {
+		t.Errorf("lump.trivial = %d, want 1", n)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/performability/csrl/internal/lump"
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/numeric"
+	"github.com/performability/csrl/internal/obs"
 	"github.com/performability/csrl/internal/sparse"
 )
 
@@ -117,7 +118,7 @@ type memo struct {
 	reductions  lruTable[string, *mrm.UntilReduction]         // guarded by mu
 	uniformised lruTable[uniKey, *sparse.CSR]                 // guarded by mu
 	poisson     lruTable[poissonKey, *numeric.PoissonWeights] // guarded by mu
-	lumps       lruTable[string, *lumpEntry]                  // guarded by mu
+	lumps       lruTable[lumpKey, *lumpEntry]                 // guarded by mu
 	absorbing   lruTable[absKey, *mrm.MRM]                    // guarded by mu
 	hits        int64                                         // guarded by mu
 	misses      int64                                         // guarded by mu
@@ -132,29 +133,46 @@ func newMemo(cap int) *memo {
 		reductions:  newLRU[string, *mrm.UntilReduction](cap),
 		uniformised: newLRU[uniKey, *sparse.CSR](cap),
 		poisson:     newLRU[poissonKey, *numeric.PoissonWeights](cap),
-		lumps:       newLRU[string, *lumpEntry](cap),
+		lumps:       newLRU[lumpKey, *lumpEntry](cap),
 		absorbing:   newLRU[absKey, *mrm.MRM](cap),
 	}
 }
 
-// lumpEntry is one memoised outcome of the automatic lumping pre-pass for
-// a respected-atom set: the quotient and the sub-checker evaluating on it,
-// or — when the pre-pass declined (impulse rewards, capped refinement,
-// trivial quotient) — a zero entry recording the decision so the pre-pass
-// is not retried for the same atoms. The sub-checker is stored without an
-// obs recorder; lumpFor grafts the calling checker's recorder on at each
-// use, so one cached quotient serves requests with distinct ledgers.
-type lumpEntry struct {
-	res *lump.Result
-	sub *Checker
+// lumpKey identifies one lump: the respected atoms joined (prePass), or
+// the set keys of Sat(Φ) and Sat(Ψ) of an until's Theorem-1 view
+// (reducedFor). A set key is never empty, so the two kinds never collide.
+type lumpKey struct {
+	atoms, phi, psi string
 }
 
-// lump returns the memoised pre-pass outcome for the atom key, building it
-// on a miss. A nil memo returns nil: the zero Checker literal checks
+// lumpEntry is one memoised lump outcome: the quotient and the sub-checker
+// evaluating on it, or — when lumping declined (capped refinement, trivial
+// quotient) — a zero entry recording the decision so the lump is not
+// retried for the same key. An entry of an until's Theorem-1 view also
+// holds the until's operands on the quotient. The sub-checker is stored
+// without an obs recorder; checker grafts the calling checker's recorder
+// on at each use, so one cached quotient serves requests with distinct
+// ledgers.
+type lumpEntry struct {
+	res      *lump.Result
+	sub      *Checker
+	phi, psi *mrm.StateSet
+}
+
+// checker returns the entry's sub-checker recording to r.
+func (e *lumpEntry) checker(r *obs.Recorder) *Checker {
+	if r == nil {
+		return e.sub
+	}
+	return e.sub.WithRecorder(r)
+}
+
+// lump returns the memoised lump outcome for the key, building it on a
+// miss. A nil memo returns nil: the zero Checker literal checks
 // unlumped rather than re-quotienting on every call. The entry's quotient
 // model anchors the sub-checker's own memo, so every downstream cache key
 // incorporates the quotient by construction.
-func (c *memo) lump(key string, build func() *lumpEntry) *lumpEntry {
+func (c *memo) lump(key lumpKey, build func() *lumpEntry) *lumpEntry {
 	if c == nil {
 		return nil
 	}

@@ -37,12 +37,6 @@ func FromRates(r *sparse.CSR) *Digraph {
 // N returns the number of vertices.
 func (g *Digraph) N() int { return g.n }
 
-// Successors returns the successor list of v (shared; do not modify).
-func (g *Digraph) Successors(v int) []int { return g.adj[v] }
-
-// Predecessors returns the predecessor list of v (shared; do not modify).
-func (g *Digraph) Predecessors(v int) []int { return g.rev[v] }
-
 // BackwardReachable returns the set of states that can reach `target` via
 // paths whose intermediate states all lie in `through` (the target states
 // themselves are always included). This is the standard precomputation for

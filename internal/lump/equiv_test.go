@@ -3,6 +3,7 @@ package lump_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -177,5 +178,84 @@ func TestRoundCapMatchesOracle(t *testing.T) {
 				t.Errorf("cap %d (one short of the fixpoint round): err = %v, want ErrRoundsExceeded", rounds-1, err)
 			}
 		})
+	}
+}
+
+// checkViewAgainstCopy pins QuotientAbsorbing to QuotientLimited on the
+// MakeAbsorbing copy with zero rewards in the set, respecting the target's
+// label: the same block map, the same block lists and quotients with the
+// same rate arrays (value bits included), rewards and initial masses.
+func checkViewAgainstCopy(t *testing.T, m *mrm.MRM, absorb *mrm.StateSet, target string) {
+	t.Helper()
+	got, err := lump.QuotientAbsorbing(m, absorb, m.Label(target), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abs, err := m.MakeAbsorbing(absorb, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := lump.QuotientLimited(abs, []string{target}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.BlockOf, want.BlockOf) {
+		t.Fatalf("BlockOf differs from the copy's")
+	}
+	if !slices.EqualFunc(got.Blocks, want.Blocks, slices.Equal[[]int]) {
+		t.Fatalf("Blocks differ from the copy's")
+	}
+	g, w := got.Model, want.Model
+	for b := 0; b < g.N(); b++ {
+		gc, gv := g.Rates().RowRange(b)
+		wc, wv := w.Rates().RowRange(b)
+		if !slices.Equal(gc, wc) || !slices.EqualFunc(gv, wv, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("block %d: row %v %v, copy's %v %v", b, gc, gv, wc, wv)
+		}
+		if math.Float64bits(g.Reward(b)) != math.Float64bits(w.Reward(b)) {
+			t.Fatalf("block %d: reward %v, copy's %v", b, g.Reward(b), w.Reward(b))
+		}
+	}
+	if !slices.Equal(g.InitView(), w.InitView()) {
+		t.Fatalf("initial masses differ from the copy's")
+	}
+}
+
+// TestAbsorbingViewMatchesCopy checks the absorbing view block for block
+// against lumping a MakeAbsorbing copy, on the Theorem-1 views of untils
+// over the cluster family and the random models.
+func TestAbsorbingViewMatchesCopy(t *testing.T) {
+	for _, n := range []int{1, 3, 10, 20} {
+		p, err := cluster.Default(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := p.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		down, qos := m.Label("down"), m.Label("qos")
+		t.Run(fmt.Sprintf("cluster:%d/!down U down", n), func(t *testing.T) {
+			checkViewAgainstCopy(t, m, down, "down")
+		})
+		t.Run(fmt.Sprintf("cluster:%d/qos U down", n), func(t *testing.T) {
+			checkViewAgainstCopy(t, m, qos.Complement().Union(down), "down")
+		})
+	}
+	rng := rand.New(rand.NewPCG(3, 2007))
+	merged := 0
+	for i := 0; i < 300; i++ {
+		m := randomMRM(t, rng)
+		a, b := m.Label("a"), m.Label("b")
+		// The views of a U b and true U b.
+		for _, absorb := range []*mrm.StateSet{a.Complement().Union(b), b} {
+			checkViewAgainstCopy(t, m, absorb, "b")
+			if res, err := lump.QuotientAbsorbing(m, absorb, b, 0); err == nil && res.Model.N() < m.N() {
+				merged++
+			}
+		}
+	}
+	if merged < 300 {
+		t.Errorf("weak fixture family: only %d of 600 views merged states", merged)
 	}
 }

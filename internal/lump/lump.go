@@ -6,6 +6,9 @@
 // rates into every equivalence class; the quotient MRM then satisfies
 // exactly the same CSRL formulas (over the preserved propositions) as the
 // original, with every state inheriting the verdict of its block.
+// QuotientAbsorbing lumps the Theorem-1 view of an until instead, the
+// model with the until's Ψ and ¬(Φ∨Ψ) states absorbing, which merges
+// those states into a few blocks.
 //
 // The implementation is a splitter-driven partition refinement (Derisavi,
 // Hermanns & Sanders, "Optimal state-space lumping in Markov chains", IPL
@@ -70,44 +73,99 @@ func QuotientRespecting(m *mrm.MRM, respect []string) (*Result, error) {
 // blocks). maxRounds ≤ 0 refines to the fixpoint unconditionally.
 // Duplicate propositions in respect are ignored.
 func QuotientLimited(m *mrm.MRM, respect []string, maxRounds int) (*Result, error) {
-	if m.HasImpulses() {
-		return nil, fmt.Errorf("lump: %w", mrm.ErrImpulsesUnsupported)
-	}
 	labels := slices.Clone(respect)
 	slices.Sort(labels)
 	labels = slices.Compact(labels)
-	blockOf, numBlocks := initialPartition(m, labels)
-	numBlocks, err := refine(m.Rates(), blockOf, numBlocks, maxRounds)
+	return quotient(view{m: m}, labels, labelSets(m, labels), maxRounds)
+}
+
+// QuotientAbsorbing lumps the model with the states of absorb made
+// absorbing with reward zero — the view Theorem 1 takes of an until
+// Φ U Ψ, with absorb = Ψ ∪ ¬(Φ∨Ψ) and target = Ψ — without copying it:
+// the states of absorb sign as empty rows. The initial partition separates
+// the target states from the rest in place of atom labels, so the
+// absorbing Ψ states can merge into one block and the absorbing
+// ¬(Φ∨Ψ) states into another. The quotient carries no labels; its rows of
+// absorbing blocks are empty and their rewards zero. maxRounds is as for
+// QuotientLimited.
+func QuotientAbsorbing(m *mrm.MRM, absorb, target *mrm.StateSet, maxRounds int) (*Result, error) {
+	if absorb.Universe() != m.N() || target.Universe() != m.N() {
+		return nil, fmt.Errorf("lump: %w: set universe for %d states", mrm.ErrModel, m.N())
+	}
+	return quotient(view{m: m, absorb: absorb}, nil, []*mrm.StateSet{target}, maxRounds)
+}
+
+// quotient refines the initial partition of v that respects sets to the
+// coarsest lumpable one and assembles its quotient, labelled with labels
+// (labels[i] names sets[i]).
+func quotient(v view, labels []string, sets []*mrm.StateSet, maxRounds int) (*Result, error) {
+	if v.m.HasImpulses() {
+		return nil, fmt.Errorf("lump: %w", mrm.ErrImpulsesUnsupported)
+	}
+	blockOf, numBlocks := initialPartition(v, sets)
+	numBlocks, err := refine(v, blockOf, numBlocks, maxRounds)
 	if err != nil {
 		return nil, err
 	}
-	return buildQuotient(m, labels, blockOf, numBlocks)
+	return buildQuotient(v, labels, sets, blockOf, numBlocks)
 }
 
-// initialPartition groups states with identical label sets, rewards and
-// initial-state masses, numbering blocks in order of first occurrence.
-// (Initial probability masses are summed per block, which is only faithful
-// if blocks do not mix initial and non-initial states with different
-// masses; keeping the initial signature avoids the common pitfall.)
-// Per-state label membership is packed into a bitset both for hashing and
-// for the exact collision check.
-func initialPartition(m *mrm.MRM, labels []string) (blockOf []int, numBlocks int) {
-	n := m.N()
-	init := m.InitView()
-	words := (len(labels) + 63) / 64
+// labelSets returns the state set of every label.
+func labelSets(m *mrm.MRM, labels []string) []*mrm.StateSet {
+	sets := make([]*mrm.StateSet, len(labels))
+	for i, l := range labels {
+		sets[i] = m.Label(l)
+	}
+	return sets
+}
+
+// view is the model a lump reads: m, with the states of absorb (nil: none)
+// signing as empty rows with reward zero.
+type view struct {
+	m      *mrm.MRM
+	absorb *mrm.StateSet
+}
+
+func (v view) absorbing(s int) bool { return v.absorb != nil && v.absorb.Contains(s) }
+
+// row returns the stored rate entries of state s in the view.
+func (v view) row(s int) ([]int, []float64) {
+	if v.absorbing(s) {
+		return nil, nil
+	}
+	return v.m.Rates().RowRange(s)
+}
+
+// reward returns ρ(s) in the view.
+func (v view) reward(s int) float64 {
+	if v.absorbing(s) {
+		return 0
+	}
+	return v.m.Reward(s)
+}
+
+// initialPartition groups states with identical membership of the
+// respected sets, rewards and initial-state masses in the view, numbering
+// blocks in order of first occurrence. (Initial probability masses are
+// summed per block, which is only faithful if blocks do not mix initial
+// and non-initial states with different masses; keeping the initial
+// signature avoids the common pitfall.) Per-state set membership is packed
+// into a bitset both for hashing and for the exact collision check.
+func initialPartition(v view, sets []*mrm.StateSet) (blockOf []int, numBlocks int) {
+	n := v.m.N()
+	init := v.m.InitView()
+	words := (len(sets) + 63) / 64
 	var labelBits []uint64
 	if words > 0 {
 		labelBits = make([]uint64, n*words)
-		for s := 0; s < n; s++ {
-			for li, l := range labels {
-				if m.HasLabel(s, l) {
-					labelBits[s*words+li/64] |= 1 << uint(li%64)
-				}
-			}
+		for li, set := range sets {
+			set.Each(func(s int) {
+				labelBits[s*words+li/64] |= 1 << uint(li%64)
+			})
 		}
 	}
 	sameInitial := func(s, r int) bool {
-		if math.Float64bits(m.Reward(s)) != math.Float64bits(m.Reward(r)) {
+		if math.Float64bits(v.reward(s)) != math.Float64bits(v.reward(r)) {
 			return false
 		}
 		if math.Float64bits(init[s]) != math.Float64bits(init[r]) {
@@ -128,7 +186,7 @@ func initialPartition(m *mrm.MRM, labels []string) (blockOf []int, numBlocks int
 		for w := 0; w < words; w++ {
 			h = mixWord(h, labelBits[s*words+w])
 		}
-		h = mixWord(h, math.Float64bits(m.Reward(s)))
+		h = mixWord(h, math.Float64bits(v.reward(s)))
 		h = mixWord(h, math.Float64bits(init[s]))
 		id := -1
 		for _, c := range buckets[h] {
@@ -156,7 +214,7 @@ func initialPartition(m *mrm.MRM, labels []string) (blockOf []int, numBlocks int
 // a round-by-round renumbering in first-occurrence order would produce;
 // canonical renumbers by it once at the end.
 type refiner struct {
-	rates   *sparse.CSR
+	v       view
 	blockOf []int
 	// elems lists the states grouped by block; block b is
 	// elems[start[b]:end[b]].
@@ -164,7 +222,7 @@ type refiner struct {
 	start, end []int
 	numBlocks  int
 
-	// Predecessor lists (the transposed non-zero pattern of rates) are
+	// Predecessor lists (the transposed non-zero pattern of the view) are
 	// built only once a round has split something: a model whose initial
 	// partition is already stable never pays for them.
 	predPtr []int
@@ -216,10 +274,10 @@ type pendingSplit struct {
 // split since (a split block's own internal edges included), so each round
 // re-signs just the blocks reached backwards from the previous round's
 // splits. Blocks no edge reaches keep their id with no work at all.
-func refine(rates *sparse.CSR, blockOf []int, numBlocks, maxRounds int) (int, error) {
+func refine(v view, blockOf []int, numBlocks, maxRounds int) (int, error) {
 	n := len(blockOf)
 	r := &refiner{
-		rates:     rates,
+		v:         v,
 		blockOf:   blockOf,
 		elems:     make([]int, n),
 		start:     make([]int, n),
@@ -343,7 +401,7 @@ func (r *refiner) classify(b int, states []int) int {
 func (r *refiner) signature(s, b int) ([]sigEntry, uint64) {
 	r.epoch++
 	sig := r.sig[:0]
-	cols, vals := r.rates.RowRange(s)
+	cols, vals := r.v.row(s)
 	for k, t := range cols {
 		v := vals[k]
 		tb := r.blockOf[t]
@@ -401,12 +459,12 @@ func (r *refiner) split(sp pendingSplit) {
 	}
 }
 
-// buildPredecessors transposes the non-zero pattern of the rate matrix.
+// buildPredecessors transposes the non-zero pattern of the view's rates.
 func (r *refiner) buildPredecessors() {
 	n := len(r.blockOf)
 	r.predPtr = make([]int, n+1)
 	for s := 0; s < n; s++ {
-		cols, vals := r.rates.RowRange(s)
+		cols, vals := r.v.row(s)
 		for k, t := range cols {
 			if vals[k] != 0 {
 				r.predPtr[t+1]++
@@ -420,7 +478,7 @@ func (r *refiner) buildPredecessors() {
 	next := r.tmp
 	copy(next, r.predPtr[:n])
 	for s := 0; s < n; s++ {
-		cols, vals := r.rates.RowRange(s)
+		cols, vals := r.v.row(s)
 		for k, t := range cols {
 			if vals[k] != 0 {
 				r.pred[next[t]] = int32(s)
@@ -444,13 +502,15 @@ func (r *refiner) canonical() {
 	}
 }
 
-// buildQuotient assembles the quotient MRM of a partition: one state per
-// block, carrying the block representative's reward, name and respected
-// labels, the block's summed initial mass and its aggregate rates into
-// every other block.
-func buildQuotient(m *mrm.MRM, labels []string, blockOf []int, numBlocks int) (*Result, error) {
+// buildQuotient assembles the quotient MRM of a partition of the view: one
+// state per block, carrying the block representative's reward, name (when
+// it has one) and labels (labels[i] when the representative is in
+// sets[i]), the block's summed initial mass and its aggregate rates into
+// every other block. The rate rows go straight into a row builder in block
+// order, with no triplet sort.
+func buildQuotient(v view, labels []string, sets []*mrm.StateSet, blockOf []int, numBlocks int) (*Result, error) {
+	m := v.m
 	init := m.InitView()
-	rates := m.Rates()
 	// One backing array holds every block's members, ascending.
 	offsets := make([]int, numBlocks+1)
 	for _, b := range blockOf {
@@ -473,13 +533,17 @@ func buildQuotient(m *mrm.MRM, labels []string, blockOf []int, numBlocks int) (*
 	acc := make([]float64, numBlocks)
 	stamp := make([]int, numBlocks)
 	qb := mrm.NewBuilder(numBlocks)
+	// The quotient's share of the model's entries sizes the row arrays.
+	rb := sparse.NewRowBuilder(numBlocks, m.Rates().NNZ()*numBlocks/max(len(blockOf), 1))
 	var targets []int
 	for b, members := range blocks {
 		rep := members[0]
-		qb.Reward(b, m.Reward(rep))
-		qb.Name(b, m.Name(rep))
-		for _, l := range labels {
-			if m.HasLabel(rep, l) {
+		qb.Reward(b, v.reward(rep))
+		if m.HasName(rep) {
+			qb.Name(b, m.Name(rep))
+		}
+		for i, l := range labels {
+			if sets[i].Contains(rep) {
 				qb.Label(b, l)
 			}
 		}
@@ -492,10 +556,10 @@ func buildQuotient(m *mrm.MRM, labels []string, blockOf []int, numBlocks int) (*
 		}
 		epoch := b + 1
 		targets = targets[:0]
-		cols, vals := rates.RowRange(rep)
+		cols, vals := v.row(rep)
 		for k, t := range cols {
-			v := vals[k]
-			if v == 0 {
+			val := vals[k]
+			if val == 0 {
 				continue
 			}
 			tb := blockOf[t]
@@ -504,18 +568,23 @@ func buildQuotient(m *mrm.MRM, labels []string, blockOf []int, numBlocks int) (*
 				acc[tb] = 0
 				targets = append(targets, tb)
 			}
-			acc[tb] += v
+			acc[tb] += val
 		}
 		slices.Sort(targets)
 		for _, t := range targets {
 			if t != b {
-				qb.Rate(b, t, acc[t])
+				rb.Add(t, acc[t])
 			}
 			// Aggregate rates within the block are self-loops of the
 			// quotient CTMC; they are unobservable and dropped.
 		}
+		rb.EndRow()
 	}
-	qm, err := qb.Build()
+	rates, err := rb.Build()
+	if err != nil {
+		return nil, fmt.Errorf("lump: quotient: %w", err)
+	}
+	qm, err := qb.BuildWithRates(rates)
 	if err != nil {
 		return nil, fmt.Errorf("lump: quotient: %w", err)
 	}

@@ -82,6 +82,30 @@ func TestQuotientRefinesOnRates(t *testing.T) {
 	}
 }
 
+// TestQuotientNamesOnlyNamedBlocks checks that a block carries its
+// representative's name when that state has one, and no name otherwise.
+func TestQuotientNamesOnlyNamedBlocks(t *testing.T) {
+	b := mrm.NewBuilder(4)
+	b.Rate(0, 1, 1).Rate(0, 2, 1).Rate(1, 3, 2).Rate(2, 3, 2)
+	b.Name(0, "start")
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := lump.QuotientRespecting(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blk, members := range res.Blocks {
+		if got, want := res.Model.HasName(blk), m.HasName(members[0]); got != want {
+			t.Errorf("block %d (states %v): named %v, representative named %v", blk, members, got, want)
+		}
+	}
+	if got := res.Model.Name(res.BlockOf[0]); got != "start" {
+		t.Errorf("block of state 0 named %q, want start", got)
+	}
+}
+
 func TestQuotientPreservesTransientProbabilities(t *testing.T) {
 	m := symmetricModel(t)
 	res, err := lump.Quotient(m)

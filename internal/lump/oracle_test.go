@@ -19,12 +19,13 @@ func OracleQuotient(m *mrm.MRM, respect []string, maxRounds int) (*Result, int, 
 	labels := slices.Clone(respect)
 	slices.Sort(labels)
 	labels = slices.Compact(labels)
-	blockOf, numBlocks := initialPartition(m, labels)
+	v, sets := view{m: m}, labelSets(m, labels)
+	blockOf, numBlocks := initialPartition(v, sets)
 	numBlocks, rounds, err := oracleRefine(m.Rates(), blockOf, numBlocks, maxRounds)
 	if err != nil {
 		return nil, rounds, err
 	}
-	res, err := buildQuotient(m, labels, blockOf, numBlocks)
+	res, err := buildQuotient(v, labels, sets, blockOf, numBlocks)
 	return res, rounds, err
 }
 

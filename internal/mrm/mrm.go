@@ -44,13 +44,9 @@ func (m *MRM) Rates() *sparse.CSR { return m.rates }
 // ExitRate returns E(s), the total rate out of state s.
 func (m *MRM) ExitRate(s int) float64 { return m.exit[s] }
 
-// ExitRates returns a copy of the exit-rate vector E.
-func (m *MRM) ExitRates() []float64 { return sparse.Clone(m.exit) }
-
 // ExitRatesView returns the exit-rate vector E (shared, do not modify).
 // The no-copy view exists for the internal sweep loops, which read the
-// vector once per call on their hot path; external callers should prefer
-// ExitRates.
+// vector once per call on their hot path.
 //
 //lint:ignore aliasret sharing is the documented contract of the View accessors; callers must not modify
 func (m *MRM) ExitRatesView() []float64 { return m.exit }
@@ -60,12 +56,6 @@ func (m *MRM) Reward(s int) float64 { return m.reward[s] }
 
 // Rewards returns a copy of the reward vector ρ.
 func (m *MRM) Rewards() []float64 { return sparse.Clone(m.reward) }
-
-// RewardsView returns the reward vector ρ (shared, do not modify). See
-// ExitRatesView for the sharing contract.
-//
-//lint:ignore aliasret sharing is the documented contract of the View accessors; callers must not modify
-func (m *MRM) RewardsView() []float64 { return m.reward }
 
 // MaxReward returns max_s ρ(s).
 func (m *MRM) MaxReward() float64 {
@@ -122,11 +112,16 @@ func (m *MRM) InitialState() int {
 
 // Name returns the state's name ("s<i>" when unnamed).
 func (m *MRM) Name(s int) string {
-	if s >= 0 && s < len(m.names) && m.names[s] != "" {
+	if m.HasName(s) {
 		return m.names[s]
 	}
 	return fmt.Sprintf("s%d", s)
 }
+
+// HasName reports whether state s was given a name. Models derived state
+// by state from another copy a name only where HasName holds, so an
+// unnamed model (see srn.Options.NoNames) never formats one.
+func (m *MRM) HasName(s int) bool { return s >= 0 && s < len(m.names) && m.names[s] != "" }
 
 // StateIndex returns the index of the state with the given name, or -1.
 func (m *MRM) StateIndex(name string) int {
@@ -382,16 +377,56 @@ func (b *Builder) InitialProb(s int, p float64) *Builder {
 
 // Build validates and assembles the MRM.
 func (b *Builder) Build() (*MRM, error) {
-	if len(b.errs) > 0 {
-		return nil, b.errs[0]
-	}
-	if b.n == 0 {
-		return nil, fmt.Errorf("%w: model has no states", ErrModel)
+	if err := b.valid(); err != nil {
+		return nil, err
 	}
 	rates, err := b.b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("mrm: %w", err)
 	}
+	return b.assemble(rates)
+}
+
+// BuildWithRates is Build with the rate matrix given whole in place of
+// Rate calls: the route for a model derived row by row from another
+// (sparse.RowBuilder), which skips the triplet sort. rates must be n×n
+// with positive finite entries off the diagonal, and the builder must hold
+// no Rate call.
+func (b *Builder) BuildWithRates(rates *sparse.CSR) (*MRM, error) {
+	if err := b.valid(); err != nil {
+		return nil, err
+	}
+	if b.b.Len() > 0 {
+		return nil, fmt.Errorf("%w: rates given both by Rate and whole", ErrModel)
+	}
+	if rates.Dim() != b.n {
+		return nil, fmt.Errorf("%w: %d×%d rate matrix for %d states", ErrModel, rates.Dim(), rates.Dim(), b.n)
+	}
+	for s := 0; s < b.n; s++ {
+		cols, vals := rates.RowRange(s)
+		for k, t := range cols {
+			if v := vals[k]; t == s || !(v > 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("%w: rate R(%d,%d)=%v", ErrModel, s, t, v)
+			}
+		}
+	}
+	return b.assemble(rates)
+}
+
+// valid returns the first error recorded by the builder's calls, or the
+// error of a model without states.
+func (b *Builder) valid() error {
+	if len(b.errs) > 0 {
+		return b.errs[0]
+	}
+	if b.n == 0 {
+		return fmt.Errorf("%w: model has no states", ErrModel)
+	}
+	return nil
+}
+
+// assemble finishes Build and BuildWithRates around the rate matrix.
+func (b *Builder) assemble(rates *sparse.CSR) (*MRM, error) {
 	initSum := sparse.Sum(b.init)
 	init := sparse.Clone(b.init)
 	if initSum == 0 {
@@ -409,6 +444,7 @@ func (b *Builder) Build() (*MRM, error) {
 	}
 	var impulses *sparse.CSR
 	if b.impulse != nil {
+		var err error
 		impulses, err = b.impulse.Build()
 		if err != nil {
 			return nil, fmt.Errorf("mrm: impulses: %w", err)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"github.com/performability/csrl/internal/sparse"
 )
 
 func buildTiny(t *testing.T) *MRM {
@@ -248,5 +250,75 @@ func TestLabelReturnsCopy(t *testing.T) {
 	l.Add(2)
 	if m.Label("start").Contains(2) {
 		t.Error("Label leaked internal state")
+	}
+}
+
+// TestBuildWithRates checks that a rate matrix given whole assembles the
+// same model as the equivalent Rate calls, and that BuildWithRates refuses
+// what Rate refuses.
+func TestBuildWithRates(t *testing.T) {
+	m := buildTiny(t)
+	rowBuilt := func(rates *sparse.CSR) (*MRM, error) {
+		b := NewBuilder(3)
+		b.Reward(0, 5).Reward(1, 1)
+		b.Label(0, "start").Label(1, "mid").Label(2, "end").Label(0, "odd").Label(2, "odd")
+		b.Name(0, "s").Name(1, "m").Name(2, "e")
+		b.InitialState(0)
+		return b.BuildWithRates(rates)
+	}
+	got, err := rowBuilt(m.Rates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint() != m.Fingerprint() {
+		t.Error("BuildWithRates model differs from Build's")
+	}
+	for name, rows := range map[string][][2]float64{
+		"self-loop": {{0, 1}},
+		"zero rate": {{1, 0}},
+		"negative":  {{1, -1}},
+		"infinite":  {{1, math.Inf(1)}},
+	} {
+		rb := sparse.NewRowBuilder(3, 1)
+		for _, e := range rows {
+			rb.Add(int(e[0]), e[1])
+		}
+		rb.EndRow()
+		rb.EndRow()
+		rb.EndRow()
+		rates, err := rb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rowBuilt(rates); !errors.Is(err, ErrModel) {
+			t.Errorf("%s: err = %v, want ErrModel", name, err)
+		}
+	}
+	if _, err := NewBuilder(3).Rate(0, 1, 1).BuildWithRates(m.Rates()); !errors.Is(err, ErrModel) {
+		t.Errorf("rates given twice: err = %v, want ErrModel", err)
+	}
+	if _, err := NewBuilder(2).BuildWithRates(m.Rates()); !errors.Is(err, ErrModel) {
+		t.Errorf("3×3 rates for 2 states: err = %v, want ErrModel", err)
+	}
+}
+
+// TestReduceForUntilKeepsUnnamedStatesUnnamed checks that the reduction
+// copies a transient state's name only when it has one.
+func TestReduceForUntilKeepsUnnamedStatesUnnamed(t *testing.T) {
+	b := NewBuilder(3)
+	b.Rate(0, 1, 2).Rate(1, 2, 3).Name(1, "m")
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	red, err := ReduceForUntil(m, NewStateSetOf(3, 0, 1), NewStateSetOf(3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.Model.HasName(red.StateMap[0]) {
+		t.Errorf("unnamed state 0 reduced to named %q", red.Model.Name(red.StateMap[0]))
+	}
+	if got := red.Model.Name(red.StateMap[1]); got != "m" {
+		t.Errorf("state 1 reduced to name %q, want m", got)
 	}
 }

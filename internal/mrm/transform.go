@@ -121,7 +121,9 @@ func ReduceForUntil(m *MRM, phi, psi *StateSet) (*UntilReduction, error) {
 	var impulseErr error
 	for ri, s := range transStates {
 		b.Reward(ri, m.reward[s])
-		b.Name(ri, m.Name(s))
+		if m.HasName(s) {
+			b.Name(ri, m.names[s])
+		}
 		// Impulse of the first merged transition into each reduced target;
 		// amalgamation is only sound when merged transitions agree.
 		seenImpulse := make(map[int]float64)
