@@ -265,7 +265,7 @@ func (c *Checker) NumericsReport() *obs.Report {
 // traversal runs on a quotient (see LumpMode and prePass) and the
 // returned set is lifted back to the original states.
 func (c *Checker) Sat(f logic.StateFormula) (*mrm.StateSet, error) {
-	q, lr := c.prePass(f)
+	q, lr := c.prePass(logic.Atoms(f), skipsLump(f))
 	sat, err := q.sat(f)
 	if err != nil {
 		return nil, err
@@ -369,7 +369,7 @@ func (c *Checker) sat(f logic.StateFormula) (*mrm.StateSet, error) {
 // needed, because a block carries positive initial mass exactly when one of
 // its states does and inherits their common verdict.
 func (c *Checker) Check(f logic.StateFormula) (bool, error) {
-	q, _ := c.prePass(f)
+	q, _ := c.prePass(logic.Atoms(f), skipsLump(f))
 	return q.check(f)
 }
 
@@ -512,7 +512,7 @@ func propositional(f logic.StateFormula) bool {
 // defeats the point of truncation). Like Check, it runs the lump
 // pre-pass unless skipsLump holds.
 func (c *Checker) QueryInitial(f logic.StateFormula) (val float64, ok bool, err error) {
-	q, _ := c.prePass(f)
+	q, _ := c.prePass(logic.Atoms(f), skipsLump(f))
 	return q.queryInitial(f)
 }
 
@@ -557,7 +557,7 @@ func (c *Checker) queryInitial(f logic.StateFormula) (float64, bool, error) {
 // pre-pass applies as in Sat — every state of a block receives its block's
 // value — and the returned slice is a plain allocation owned by the caller.
 func (c *Checker) Values(f logic.StateFormula) ([]float64, error) {
-	q, lr := c.prePass(f)
+	q, lr := c.prePass(logic.Atoms(f), skipsLump(f))
 	vals, err := q.values(f)
 	if err != nil {
 		return nil, err
@@ -595,7 +595,9 @@ func (c *Checker) values(f logic.StateFormula) ([]float64, error) {
 // the borrowed buffer back in, so callers outside the package never hold
 // (or leak) pooled memory.
 func (c *Checker) PathProb(f logic.PathFormula) ([]float64, error) {
-	q, lr := c.prePass(logic.Prob{Path: f})
+	// Pr_s(φ) is the value of the query P=? [φ], so it skips the pre-pass
+	// when that query would.
+	q, lr := c.prePass(logic.PathAtoms(f), skipsLump(logic.Prob{Path: f}))
 	vals, err := q.pathProb(f)
 	if err != nil {
 		return nil, err
@@ -626,9 +628,10 @@ func (c *Checker) UntilProbBatch(left, right logic.StateFormula, t float64, rs [
 			return nil, fmt.Errorf("core: until batch: invalid reward bound %v", r)
 		}
 	}
-	q, lr := c.prePass(logic.Prob{Path: logic.Until{
-		Left: left, Right: right, Time: logic.Interval{Hi: t}, Reward: logic.Interval{Hi: rs[0]},
-	}})
+	// The bounds are finite, so the batch skips the pre-pass exactly when
+	// skipsLump would for each of its untils.
+	atoms := append(logic.Atoms(left), logic.Atoms(right)...)
+	q, lr := c.prePass(atoms, propositional(left) && propositional(right))
 	phi, err := q.sat(left)
 	if err != nil {
 		return nil, err
@@ -695,23 +698,24 @@ func (c *Checker) lumps() bool {
 	return c.opts.Lump.enabled() && c.memo != nil && !c.m.HasImpulses()
 }
 
-// prePass runs the automatic lumping pre-pass for a top-level formula: it
-// lumps the model respecting the formula's atoms and returns the checker
-// to evaluate f on and, when the lump produced a proper quotient, the lump
-// result to lift verdicts back through (nil when evaluation runs on c's
-// model). When skipsLump holds it returns c itself, whose until then
-// lumps its Theorem-1 view (reducedFor). Outcomes are memoised per sorted
+// prePass runs the automatic lumping pre-pass for a top-level formula
+// over the given atoms: it lumps the model respecting them and returns the
+// checker to evaluate the formula on and, when the lump produced a proper
+// quotient, the lump result to lift verdicts back through (nil when
+// evaluation runs on c's model). When skip holds (skipsLump of the
+// formula) it returns c itself, whose until then lumps its Theorem-1 view
+// (reducedFor). Outcomes are memoised per sorted
 // atom set, so one quotient serves every formula over the same
 // propositions; the quotient sub-checker owns its own memo and pool,
 // keyed to the quotient model, and shares the Obs recorder. Neither the
 // sub-checker nor the view of c returned when the lump declines lumps
 // again, so nested untils never partition the model a second time.
-func (c *Checker) prePass(f logic.StateFormula) (*Checker, *lump.Result) {
-	if skipsLump(f) || !c.lumps() {
+func (c *Checker) prePass(atoms []string, skip bool) (*Checker, *lump.Result) {
+	if skip || !c.lumps() {
 		return c, nil
 	}
-	atoms := logic.Atoms(f)
 	slices.Sort(atoms)
+	atoms = slices.Compact(atoms)
 	key := lumpKey{atoms: strings.Join(atoms, "\x00")}
 	entry := c.memo.lump(key, func() *lumpEntry {
 		return c.buildLump(c.m.N(), func() (*lump.Result, error) {
@@ -1029,9 +1033,8 @@ func (c *Checker) untilTime(phi, psi *mrm.StateSet, t float64) ([]float64, error
 // untilTimeInterval computes Φ U^[t1,t2] Ψ (t1 > 0, reward unbounded) by
 // the standard two-phase CSL computation: probabilities for the residual
 // until of length t2−t1, then a backward transient sweep of length t1 on
-// the model with ¬Φ made absorbing. When Φ and Ψ are disjoint, ¬Φ is
-// Ψ ∪ ¬(Φ∨Ψ), the absorbing set of the Theorem-1 view, so a lumping
-// checker runs both phases on the view's quotient (viewInterval).
+// the model with ¬Φ made absorbing. Phase two is a [0,t2−t1] until, so a
+// lumping checker runs it on the until's Theorem-1 view (untilTime).
 func (c *Checker) untilTimeInterval(phi, psi *mrm.StateSet, iv logic.Interval) ([]float64, error) {
 	if math.IsInf(iv.Hi, 1) {
 		// Φ U^[t1,∞) Ψ: stay in Φ for t1, then an unbounded until.
@@ -1041,15 +1044,6 @@ func (c *Checker) untilTimeInterval(phi, psi *mrm.StateSet, iv logic.Interval) (
 		}
 		return c.phaseOne(phi, tail, iv.Lo)
 	}
-	if phi.Intersect(psi).IsEmpty() {
-		if q, e := c.reducedFor(phi, psi); q != nil {
-			vals, err := q.viewInterval(e.psi, iv)
-			if err != nil {
-				return nil, err
-			}
-			return c.lift(e, q, vals), nil
-		}
-	}
 	tail, err := c.untilTime(phi, psi, iv.Hi-iv.Lo)
 	if err != nil {
 		return nil, err
@@ -1057,25 +1051,6 @@ func (c *Checker) untilTimeInterval(phi, psi *mrm.StateSet, iv logic.Interval) (
 	// phaseOne masks tail into its own terminal vector; the residual-until
 	// buffer goes back to the pool rather than leaking out of the regime.
 	res, err := c.phaseOne(phi, tail, iv.Lo)
-	c.pool.Put(tail)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// viewInterval computes Φ U^[t1,t2] Ψ on the quotient of a Theorem-1 view
-// whose Φ is disjoint from Ψ, given the view's Ψ blocks: the absorbing
-// rows of both phases are the view's empty ones. Phase two is a
-// reachability sweep; phase one sweeps its values with the Ψ blocks
-// zeroed, the ¬(Φ∨Ψ) blocks being 0 already.
-func (c *Checker) viewInterval(psi *mrm.StateSet, iv logic.Interval) ([]float64, error) {
-	tail, err := transient.ReachProbAll(c.m, psi, iv.Hi-iv.Lo, c.transientOpts())
-	if err != nil {
-		return nil, err
-	}
-	psi.Each(func(b int) { tail[b] = 0 })
-	res, err := transient.BackwardWeighted(c.m, tail, iv.Lo, c.transientOpts())
 	c.pool.Put(tail)
 	if err != nil {
 		return nil, err

@@ -31,8 +31,8 @@ func lumpTestModel(t *testing.T) *mrm.MRM {
 // the P3 rectangle), verdict sets and per-state probabilities must agree
 // between a lump-off and a lump-on checker to 1e-12. The top-level untils
 // lump their Theorem-1 view, the steady-state formula its atoms; the
-// interval untils cover both phases on the view (disjoint operands) and
-// phase one on the model (overlapping ones).
+// interval untils run phase two on the view and phase one on the model,
+// with disjoint and with overlapping operands.
 func TestSatLumpCrosscheck(t *testing.T) {
 	m := lumpTestModel(t)
 	cases := []struct {
