@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 
 	"github.com/performability/csrl/internal/lump"
@@ -43,10 +44,23 @@ type poissonKey struct {
 // Fox–Glynn/uniformisation entry the moment a 65th key arrived — fatal for
 // a service whose whole point is keeping cross-request entries warm.
 type lruTable[K comparable, V any] struct {
-	cap   int
-	m     map[K]*list.Element
-	order *list.List // front = most recently used
+	cap      int
+	m        map[K]*list.Element
+	order    *list.List // front = most recently used
+	building map[K]*build[V]
 }
+
+// build is one table entry under construction. done is closed when v and
+// err are final.
+type build[V any] struct {
+	done chan struct{}
+	v    V
+	err  error
+}
+
+// errBuildPanicked is what the callers waiting on a build get when the
+// build panicked.
+var errBuildPanicked = errors.New("core: memo build panicked")
 
 type lruEntry[K comparable, V any] struct {
 	k K
@@ -54,7 +68,7 @@ type lruEntry[K comparable, V any] struct {
 }
 
 func newLRU[K comparable, V any](cap int) lruTable[K, V] {
-	return lruTable[K, V]{cap: cap, m: make(map[K]*list.Element), order: list.New()}
+	return lruTable[K, V]{cap: cap, m: make(map[K]*list.Element), order: list.New(), building: make(map[K]*build[V])}
 }
 
 // get returns the cached value and refreshes its recency.
@@ -88,6 +102,43 @@ func (t *lruTable[K, V]) put(k K, v V) int64 {
 
 func (t *lruTable[K, V]) len() int { return t.order.Len() }
 
+// lookup returns t's entry for k, running fresh on a miss. c.mu guards
+// the table but is not held while fresh runs, so lookups of other keys, in
+// this table or another, go ahead meanwhile. Callers of a key that is
+// being built wait for that one build and share its outcome. A failed
+// build is not cached: its waiters get its error and the next caller
+// builds again. A waiter counts as a hit, as it would have when the build
+// ran under the lock.
+func lookup[K comparable, V any](c *memo, t *lruTable[K, V], k K, fresh func() (V, error)) (V, error) {
+	c.mu.Lock()
+	if v, ok := t.get(k); ok {
+		c.hits++
+		c.mu.Unlock()
+		return v, nil
+	}
+	if b, ok := t.building[k]; ok {
+		c.hits++
+		c.mu.Unlock()
+		<-b.done
+		return b.v, b.err
+	}
+	c.misses++
+	b := &build[V]{done: make(chan struct{}), err: errBuildPanicked}
+	t.building[k] = b
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(t.building, k)
+		if b.err == nil {
+			c.evictions += t.put(k, b.v)
+		}
+		c.mu.Unlock()
+		close(b.done)
+	}()
+	b.v, b.err = fresh()
+	return b.v, b.err
+}
+
 // MemoStats is a snapshot of the checker memo's cumulative traffic, the
 // cache-health surface a long-running service exports per model: how many
 // lookups hit, how many built a fresh entry, how many entries LRU eviction
@@ -110,7 +161,9 @@ type MemoStats struct {
 // *memo computes without caching, so a zero Checker literal still works.
 // Memory visibility: every read and write of the tables happens under mu,
 // so a value stored by one goroutine is safely published to any other
-// goroutine that later looks it up.
+// goroutine that later looks it up; a caller waiting on a build reads its
+// outcome after the builder closed the build's done channel. No build
+// runs under mu (lookup).
 //
 // The concrete type satisfies transient.Cache.
 type memo struct {
@@ -176,15 +229,12 @@ func (c *memo) lump(key lumpKey, build func() *lumpEntry) *lumpEntry {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.lumps.get(key); ok {
-		c.hits++
-		return e
+	//lint:ignore guardedfield only the table's address is taken here; lookup holds c.mu whenever it touches the table
+	e, err := lookup(c, &c.lumps, key, func() (*lumpEntry, error) { return build(), nil })
+	if err != nil {
+		// The build panicked on another caller: decline, check unlumped.
+		return &lumpEntry{}
 	}
-	c.misses++
-	e := build()
-	c.evictions += c.lumps.put(key, e)
 	return e
 }
 
@@ -195,20 +245,10 @@ func (c *memo) Reduction(m *mrm.MRM, phi, psi *mrm.StateSet) (*mrm.UntilReductio
 	if c == nil {
 		return mrm.ReduceForUntil(m, phi, psi)
 	}
-	key := phi.Key() + "|" + psi.Key()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if red, ok := c.reductions.get(key); ok {
-		c.hits++
-		return red, nil
-	}
-	c.misses++
-	red, err := mrm.ReduceForUntil(m, phi, psi)
-	if err != nil {
-		return nil, err
-	}
-	c.evictions += c.reductions.put(key, red)
-	return red, nil
+	//lint:ignore guardedfield only the table's address is taken here; lookup holds c.mu whenever it touches the table
+	return lookup(c, &c.reductions, phi.Key()+"|"+psi.Key(), func() (*mrm.UntilReduction, error) {
+		return mrm.ReduceForUntil(m, phi, psi)
+	})
 }
 
 // Uniformised implements transient.Cache.
@@ -216,20 +256,10 @@ func (c *memo) Uniformised(m *mrm.MRM, lambda float64) (*sparse.CSR, error) {
 	if c == nil {
 		return m.Uniformised(lambda)
 	}
-	key := uniKey{m: m, lambda: lambda}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.uniformised.get(key); ok {
-		c.hits++
-		return p, nil
-	}
-	c.misses++
-	p, err := m.Uniformised(lambda)
-	if err != nil {
-		return nil, err
-	}
-	c.evictions += c.uniformised.put(key, p)
-	return p, nil
+	//lint:ignore guardedfield only the table's address is taken here; lookup holds c.mu whenever it touches the table
+	return lookup(c, &c.uniformised, uniKey{m: m, lambda: lambda}, func() (*sparse.CSR, error) {
+		return m.Uniformised(lambda)
+	})
 }
 
 // Absorbing implements transient.Cache: the model with the given set made
@@ -243,20 +273,10 @@ func (c *memo) Absorbing(m *mrm.MRM, set *mrm.StateSet, zeroReward bool) (*mrm.M
 	if c == nil {
 		return m.MakeAbsorbing(set, zeroReward)
 	}
-	key := absKey{m: m, set: set.Key(), zero: zeroReward}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if abs, ok := c.absorbing.get(key); ok {
-		c.hits++
-		return abs, nil
-	}
-	c.misses++
-	abs, err := m.MakeAbsorbing(set, zeroReward)
-	if err != nil {
-		return nil, err
-	}
-	c.evictions += c.absorbing.put(key, abs)
-	return abs, nil
+	//lint:ignore guardedfield only the table's address is taken here; lookup holds c.mu whenever it touches the table
+	return lookup(c, &c.absorbing, absKey{m: m, set: set.Key(), zero: zeroReward}, func() (*mrm.MRM, error) {
+		return m.MakeAbsorbing(set, zeroReward)
+	})
 }
 
 // stats returns a snapshot of the cumulative hit/miss/eviction counts and
@@ -285,18 +305,8 @@ func (c *memo) Poisson(q, eps float64) (*numeric.PoissonWeights, error) {
 	if c == nil {
 		return numeric.FoxGlynn(q, eps)
 	}
-	key := poissonKey{q: q, eps: eps}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if w, ok := c.poisson.get(key); ok {
-		c.hits++
-		return w, nil
-	}
-	c.misses++
-	w, err := numeric.FoxGlynn(q, eps)
-	if err != nil {
-		return nil, err
-	}
-	c.evictions += c.poisson.put(key, w)
-	return w, nil
+	//lint:ignore guardedfield only the table's address is taken here; lookup holds c.mu whenever it touches the table
+	return lookup(c, &c.poisson, poissonKey{q: q, eps: eps}, func() (*numeric.PoissonWeights, error) {
+		return numeric.FoxGlynn(q, eps)
+	})
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestLRUTableEvictsColdestOnly(t *testing.T) {
@@ -109,5 +112,73 @@ func TestMemoStatsNil(t *testing.T) {
 	var m *memo
 	if st := m.stats(); st != (MemoStats{}) {
 		t.Errorf("nil memo stats = %+v, want zeroes", st)
+	}
+}
+
+// TestMemoBuildsOutsideTheLock pins that a build does not hold the memo:
+// while one request's lump build is blocked, a Fox–Glynn lookup on the
+// same checker completes, and a second caller of the blocked key waits for
+// that one build instead of starting its own.
+func TestMemoBuildsOutsideTheLock(t *testing.T) {
+	c := New(tinyModel(t), Options{})
+	started, release := make(chan struct{}), make(chan struct{})
+	var builds atomic.Int32
+	build := func() *lumpEntry {
+		if builds.Add(1) == 1 {
+			close(started)
+		}
+		<-release
+		return &lumpEntry{}
+	}
+	key := lumpKey{atoms: "blocked"}
+	entries := make(chan *lumpEntry, 2)
+	go func() { entries <- c.memo.lump(key, build) }()
+	<-started
+	go func() { entries <- c.memo.lump(key, build) }()
+
+	looked := make(chan error, 1)
+	go func() {
+		_, err := c.memo.Poisson(2.5, 1e-9)
+		looked <- err
+	}()
+	select {
+	case err := <-looked:
+		if err != nil {
+			t.Errorf("Poisson: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a Poisson lookup waited on another key's lump build")
+	}
+	close(release)
+	first, second := <-entries, <-entries
+	if first != second {
+		t.Error("two callers of one key got different entries")
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("one key built %d times, want 1", n)
+	}
+	if e := c.memo.lump(key, build); e != first {
+		t.Error("the built entry was not cached")
+	}
+}
+
+// TestMemoFailedBuildNotCached pins that a failed build leaves no entry:
+// the next lookup of the key builds again.
+func TestMemoFailedBuildNotCached(t *testing.T) {
+	m := newMemo(0)
+	boom := errors.New("boom")
+	calls := 0
+	fail := func() (int, error) {
+		calls++
+		return 0, boom
+	}
+	tab := newLRU[int, int](4)
+	for i := 0; i < 2; i++ {
+		if _, err := lookup(m, &tab, 1, fail); !errors.Is(err, boom) {
+			t.Fatalf("lookup %d: error %v, want %v", i, err, boom)
+		}
+	}
+	if calls != 2 || tab.len() != 0 {
+		t.Errorf("%d builds and %d entries after two failed lookups, want 2 and 0", calls, tab.len())
 	}
 }

@@ -429,55 +429,64 @@ func (p *prepared) reachProb(from int, sc *scratch) float64 {
 	// preserves the sequential arithmetic order per state: results are
 	// bitwise identical for every workers value.
 	R := p.R
-	for j := 1; j < p.T; j++ {
-		cur, curBand, next, nextBand := sc.cur, sc.curBand, sc.next, sc.nextBand
-		parallel.For(p.workers, len(p.rows), func(lo, hi int) {
-			for _, s := range p.rows[lo:hi] {
-				cols, vals := p.rt.RowRange(s)
-				shifts := p.inShift[s][:len(cols)]
-				own := curBand[s].shifted(p.rho[s], R)
-				nb := own
-				for e, src := range cols {
-					nb = nb.union(curBand[src].shifted(shifts[e], R))
+	// The per-step operands the rows read, set before each step.
+	var cur, next [][]float64
+	var curBand, nextBand []band
+	rows := func(lo, hi int) {
+		for _, s := range p.rows[lo:hi] {
+			cols, vals := p.rt.RowRange(s)
+			shifts := p.inShift[s][:len(cols)]
+			own := curBand[s].shifted(p.rho[s], R)
+			nb := own
+			for e, src := range cols {
+				nb = nb.union(curBand[src].shifted(shifts[e], R))
+			}
+			nextBand[s] = nb
+			fs := next[s]
+			// The stay term over the own band and zeros around it, so
+			// the whole new band is written. An in-place row is cur[s]:
+			// its stay term is ×1 and it grows over zeros.
+			switch {
+			case p.inPlace[s] || nb.empty():
+			case own.empty():
+				clear(fs[nb.lo:nb.end])
+			default:
+				clear(fs[nb.lo:own.lo])
+				dst := fs[own.lo:own.end]
+				src := cur[s][own.lo-p.rho[s]:]
+				src = src[:len(dst)]
+				sStay := p.stay[s]
+				for i := range dst {
+					dst[i] = src[i] * sStay
 				}
-				nextBand[s] = nb
-				fs := next[s]
-				// The stay term over the own band and zeros around it, so
-				// the whole new band is written. An in-place row is cur[s]:
-				// its stay term is ×1 and it grows over zeros.
-				switch {
-				case p.inPlace[s] || nb.empty():
-				case own.empty():
-					clear(fs[nb.lo:nb.end])
-				default:
-					clear(fs[nb.lo:own.lo])
-					dst := fs[own.lo:own.end]
-					src := cur[s][own.lo-p.rho[s]:]
-					src = src[:len(dst)]
-					sStay := p.stay[s]
-					for i := range dst {
-						dst[i] = src[i] * sStay
-					}
-					clear(fs[own.end:nb.end])
+				clear(fs[own.end:nb.end])
+			}
+			for e, srcState := range cols {
+				b := curBand[srcState].shifted(shifts[e], R)
+				if b.empty() {
+					continue
 				}
-				for e, srcState := range cols {
-					b := curBand[srcState].shifted(shifts[e], R)
-					if b.empty() {
-						continue
-					}
-					w := vals[e] * p.d
-					dst := fs[b.lo:b.end]
-					src := cur[srcState][b.lo-shifts[e]:]
-					src = src[:len(dst)]
-					for i := range dst {
-						dst[i] += src[i] * w
-					}
+				w := vals[e] * p.d
+				dst := fs[b.lo:b.end]
+				src := cur[srcState][b.lo-shifts[e]:]
+				src = src[:len(dst)]
+				for i := range dst {
+					dst[i] += src[i] * w
 				}
 			}
-		})
-		sc.cur, sc.next = next, cur
-		sc.curBand, sc.nextBand = nextBand, curBand
+		}
 	}
+	// The time steps run on one team (parallel.ForSteps): its helpers live
+	// for the step loop, and each time step is one step over For's chunks of
+	// the rows.
+	parallel.ForSteps(p.workers, len(p.rows), rows, func(step func()) {
+		for j := 1; j < p.T; j++ {
+			cur, curBand, next, nextBand = sc.cur, sc.curBand, sc.next, sc.nextBand
+			step()
+			sc.cur, sc.next = next, cur
+			sc.curBand, sc.nextBand = nextBand, curBand
+		}
+	})
 
 	var sum float64
 	p.goal.Each(func(s int) {

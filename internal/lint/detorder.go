@@ -18,7 +18,8 @@ import (
 // fields) through assignments and derivation helpers (rowCuts and
 // friends), then reports float accumulations inside worker-count-shaped
 // loops whose accumulator outlives the loop, and captured float scalars
-// accumulated inside parallel.Do / parallel.For task literals.
+// accumulated inside the task literals of a parallel region (parallel.Do,
+// For, Steps, ForSteps).
 //
 // A deliberate fan-out-dependent reduction is declared with
 //
@@ -327,9 +328,9 @@ func accumTarget(info *types.Info, as *ast.AssignStmt) (*ast.Ident, bool) {
 }
 
 // checkParallelTasks reports captured float scalars accumulated inside
-// parallel.Do / parallel.For task literals: concurrent tasks folding
-// into one captured accumulator have a scheduling-dependent (and racy)
-// reduction order. Indexed writes (y[i] += ...) are per-element and stay
+// the task literals of a parallel region (parallelTasks): concurrent
+// tasks folding into one captured accumulator have a
+// scheduling-dependent (and racy) reduction order. Indexed writes (y[i] += ...) are per-element and stay
 // silent here; the loop-shape rule above covers their worker-count
 // dependence.
 func checkParallelTasks(pass *Pass, taint map[types.Object]bool, body *ast.BlockStmt, reported map[ast.Node]bool) {
@@ -339,14 +340,11 @@ func checkParallelTasks(pass *Pass, taint map[types.Object]bool, body *ast.Block
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(info, call)
-		if fn == nil || !pkgPathHasSuffix(fn.Pkg(), "internal/parallel") {
+		name, tasks, ok := parallelTasks(info, call)
+		if !ok {
 			return true
 		}
-		if fn.Name() != "Do" && fn.Name() != "For" {
-			return true
-		}
-		for _, arg := range call.Args {
+		for _, arg := range tasks {
 			lit, ok := unparen(arg).(*ast.FuncLit)
 			if !ok {
 				continue
@@ -369,7 +367,7 @@ func checkParallelTasks(pass *Pass, taint map[types.Object]bool, body *ast.Block
 				}
 				reported[as] = true
 				pass.ReportNodef(as, "captured float accumulator %s inside a parallel.%s task: concurrent tasks make the reduction order scheduling-dependent",
-					base.Name, fn.Name())
+					base.Name, name)
 				return true
 			})
 		}

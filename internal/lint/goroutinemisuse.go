@@ -18,8 +18,8 @@ import (
 //     where the goroutine may not have run Add before the parent's Wait;
 //   - capturing a loop variable in a spawned function under a module go
 //     version below 1.22 (per-iteration loop variables fixed the hazard);
-//   - entering a parallel region (parallel.Do / parallel.For) while
-//     holding a mutex — the caller help-drains other tasks, so any task
+//   - entering a parallel region (parallel.Do, For, Steps or ForSteps)
+//     while holding a mutex — the caller runs tasks too, so any task
 //     that takes the same lock deadlocks;
 //   - nesting a parallel region lexically inside a worker body unless the
 //     inner call forces workers == 1 — the pool is sized to NumCPU and
@@ -48,15 +48,16 @@ func runGoroutinemisuse(pass *Pass) error {
 				checkSpawnedBody(pass, lit)
 			}
 		case *ast.CallExpr:
-			if !isParallelRegionCall(pass, n) {
+			_, tasks, ok := parallelTasks(pass.Info, n)
+			if !ok {
 				return
 			}
 			if held := heldLockNames(heldLocks(stack)); len(held) > 0 {
-				pass.ReportNodef(n, "parallel region entered while holding %s; the caller help-drains tasks, so a task taking the same lock deadlocks",
+				pass.ReportNodef(n, "parallel region entered while holding %s; the caller runs tasks too, so a task taking the same lock deadlocks",
 					strings.Join(held, ", "))
 			}
 			checkNestedRegion(pass, n, stack)
-			for _, arg := range n.Args {
+			for _, arg := range tasks {
 				if lit, ok := unparen(arg).(*ast.FuncLit); ok {
 					checkSpawnedBody(pass, lit)
 				}
@@ -66,17 +67,29 @@ func runGoroutinemisuse(pass *Pass) error {
 	return nil
 }
 
-// isParallelRegionCall reports whether call is parallel.Do or parallel.For
-// (the module's only fan-out entry points).
-func isParallelRegionCall(pass *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass.Info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
+// parallelTasks reports whether call enters a parallel region — one of
+// the module's fan-out entry points — and returns the region's name and
+// the arguments that run as its tasks: every argument of parallel.Do, the
+// body of For and ForSteps, the part of Steps. The loop argument of Steps
+// and ForSteps runs on the caller and is not a task.
+func parallelTasks(info *types.Info, call *ast.CallExpr) (name string, tasks []ast.Expr, ok bool) {
+	fn := calleeFunc(info, call)
+	if fn == nil || !pkgPathHasSuffix(fn.Pkg(), parallelPkgSuffix) {
+		return "", nil, false
 	}
-	if !strings.HasSuffix(fn.Pkg().Path(), parallelPkgSuffix) {
-		return false
+	task := -1
+	switch fn.Name() {
+	case "Do":
+		return fn.Name(), call.Args, true
+	case "For", "ForSteps":
+		task = 2
+	case "Steps":
+		task = 1
 	}
-	return fn.Name() == "Do" || fn.Name() == "For"
+	if task < 0 || len(call.Args) <= task {
+		return "", nil, false
+	}
+	return fn.Name(), call.Args[task : task+1], true
 }
 
 // checkSpawnedBody inspects a function literal that will run on another
@@ -109,10 +122,10 @@ func checkSpawnedBody(pass *Pass, lit *ast.FuncLit) {
 
 // checkNestedRegion reports call if it sits lexically inside a worker body
 // of an enclosing parallel region, unless its workers argument is the
-// constant 1 (parallel.For's sequential escape hatch).
+// constant 1 (the sequential escape hatch of For and ForSteps).
 func checkNestedRegion(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
 	fn := calleeFunc(pass.Info, call)
-	if fn.Name() == "For" && len(call.Args) > 0 {
+	if (fn.Name() == "For" || fn.Name() == "ForSteps") && len(call.Args) > 0 {
 		if v, ok := exactIntValue(pass.Info, call.Args[0]); ok && v == 1 {
 			return
 		}
@@ -124,10 +137,14 @@ func checkNestedRegion(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
 			continue
 		}
 		outer, ok := stack[i-1].(*ast.CallExpr)
-		if !ok || !isParallelRegionCall(pass, outer) {
+		if !ok {
 			continue
 		}
-		for _, arg := range outer.Args {
+		_, tasks, ok := parallelTasks(pass.Info, outer)
+		if !ok {
+			continue
+		}
+		for _, arg := range tasks {
 			if unparen(arg) == lit {
 				pass.ReportNodef(call, "parallel region nested inside a worker body oversubscribes the pool; hoist it or force workers=1 on the inner call")
 				return

@@ -8,7 +8,13 @@
 // The pool is global and lazily started: the first parallel call spawns
 // runtime.NumCPU() daemon goroutines that live for the remainder of the
 // process. Workers idle on a channel receive and consume no CPU between
-// calls.
+// calls. Do and For serve one-shot fan-outs.
+//
+// A stepped kernel — a loop that fans the same parts out once per step,
+// such as a uniformisation sweep — runs its loop inside Steps or
+// ForSteps instead: a team of helpers that lives for the loop and takes
+// each step's parts through atomics, so a step pays no channel hand-off
+// and no wake-up of a parked worker.
 package parallel
 
 import (
@@ -33,8 +39,9 @@ func Resolve(workers int) int {
 var (
 	startOnce sync.Once
 	queue     chan func()
-	// chunks counts every task dispatched by a multi-task Do — the
-	// work-partition dimension the observability layer reports. Global
+	// chunks counts every task dispatched by a multi-task Do and every
+	// part of a team's step — the work-partition dimension the
+	// observability layer reports. Global
 	// and monotonic like the pool itself; consumers snapshot it into a
 	// gauge (inline single-task runs are not parallel chunks and are not
 	// counted).
@@ -43,7 +50,8 @@ var (
 
 // ChunkCount returns the cumulative number of tasks dispatched by
 // multi-task Do calls across the process, including tasks that ran
-// inline on the caller because the queue was full.
+// inline on the caller because the queue was full, plus every part of
+// every step of a team of two or more parts (Steps).
 func ChunkCount() int64 { return chunks.Load() }
 
 func start() {
@@ -112,26 +120,31 @@ func Do(tasks ...func()) {
 // for every workers value. workers is passed through Resolve; with an
 // effective worker count of 1, or n <= 1, fn runs inline on the caller.
 func For(workers, n int, fn func(lo, hi int)) {
-	if n <= 0 {
+	size, parts := chunking(workers, n)
+	switch parts {
+	case 0:
 		return
-	}
-	w := Resolve(workers)
-	if w > n {
-		w = n
-	}
-	if w == 1 {
+	case 1:
 		fn(0, n)
 		return
 	}
-	chunk := (n + w - 1) / w
-	tasks := make([]func(), 0, w)
-	for lo := 0; lo < n; lo += chunk {
-		lo := lo
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		tasks = append(tasks, func() { fn(lo, hi) })
+	tasks := make([]func(), parts)
+	for c := range tasks {
+		lo := c * size
+		hi := min(lo+size, n)
+		tasks[c] = func() { fn(lo, hi) }
 	}
 	Do(tasks...)
+}
+
+// chunking returns For's chunk size and chunk count for (workers, n): at
+// most Resolve(workers) chunks of ceil(n/w) indices, none empty; (0, 0)
+// for n <= 0.
+func chunking(workers, n int) (size, parts int) {
+	if n <= 0 {
+		return 0, 0
+	}
+	w := min(Resolve(workers), n)
+	size = (n + w - 1) / w
+	return size, (n + size - 1) / size
 }

@@ -753,24 +753,28 @@ func run(p *sparse.CSR, rho, bands []float64, live []int, targets []target, pois
 		weigh()
 		accumulate(0, n, pn)
 	}
-	for level = 1; level <= nSteps; level++ {
-		for h := 1; h <= mBands; h++ {
-			prev[h], cur[h] = cur[h], prev[h]
+	// The levels run on one team (parallel.ForSteps): its helpers live for
+	// the level loop, and each level is one step over For's row chunks.
+	parallel.ForSteps(workers, n, levelBody, func(step func()) {
+		for level = 1; level <= nSteps; level++ {
+			for h := 1; h <= mBands; h++ {
+				prev[h], cur[h] = cur[h], prev[h]
+			}
+			for ti, tg := range targets {
+				numeric.BinomialStep(binom[ti][:level+1], tg.x)
+			}
+			w = poisPMF(level)
+			if w != 0 {
+				weigh()
+			}
+			// One step of the team per level: each part owns a contiguous row
+			// range and runs the full per-row pipeline — the Pⁿ update (into
+			// pnNext, which holds P^level until the swap below), the products,
+			// the up/down sweeps and the accumulation — in sequential order.
+			step()
+			pn, pnNext = pnNext, pn
 		}
-		for ti, tg := range targets {
-			numeric.BinomialStep(binom[ti][:level+1], tg.x)
-		}
-		w = poisPMF(level)
-		if w != 0 {
-			weigh()
-		}
-		// One parallel region per level: each worker owns a contiguous row
-		// range and runs the full per-row pipeline — the Pⁿ update (into
-		// pnNext, which holds P^level until the swap below), the products,
-		// the up/down sweeps and the accumulation — in sequential order.
-		parallel.For(workers, n, levelBody)
-		pn, pnNext = pnNext, pn
-	}
+	})
 	// Check the slab back in (hMats/tMat stay out; the caller returns them
 	// after the goal-column summation).
 	pool.Put(slab)

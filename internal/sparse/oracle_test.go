@@ -42,7 +42,7 @@ func mulVecT(m *CSR, dst, x []float64) {
 func planMul(m *CSR, dst, src []float64, workers int) {
 	p := NewSweepPlan(m, workers)
 	p.Seed(dst, src)
-	p.Step(dst, src, 0, nil)
+	p.Sweep(func() { p.Step(dst, src, 0, nil) })
 }
 
 // maxDiff returns max_i |a[i] − b[i]| in ascending row order, the separate

@@ -13,11 +13,12 @@ const slotStride = 8
 
 // SweepPlan is the per-sweep setup of a backward uniformisation sweep
 // (next = M·cur) over one matrix, built once so that each step is one
-// parallel kernel call: the nnz-balanced row cuts, the task closures, the
+// parallel kernel call: the parts at the nnz-balanced row cuts, the
 // per-part max slots, the fixed rows and the spans of rows it computes as
 // slabs. One Step computes the product of the step, folds the Poisson
 // accumulate acc += weight·cur into the same pass and returns the
-// steady-test difference max_i |next[i] − cur[i]|.
+// steady-test difference max_i |next[i] − cur[i]|. The steps of a sweep
+// run inside Sweep, which keeps one team of helpers for all of them.
 //
 // A fixed row has exactly one stored entry, the diagonal, with value 1: an
 // absorbing state of the uniformised chain. Its product 0 + 1·cur[i]
@@ -45,17 +46,26 @@ const slotStride = 8
 type SweepPlan struct {
 	m *CSR
 
-	tasks []func()  // per part: its row range; nil: the plan never fans out
-	slots []float64 // part c's maximum at slots[c*slotStride]
+	parts []planPart // one part unless the plan fans out
+	slots []float64  // part c's maximum at slots[c*slotStride]
 
 	fixed  []int     // the fixed rows, ascending
 	spans  []rowSpan // the runs and fixed ranges, ascending
 	runNNZ int       // stored entries of the rows in runs
 
-	// The operands of the running step, read by the tasks; acc is nil
-	// when the step does not accumulate.
+	// The running Sweep's step, nil outside Sweep, and the operands of
+	// the running step, read by the parts; acc is nil when the step does
+	// not accumulate.
+	step           func()
 	next, cur, acc []float64
 	weight         float64
+}
+
+// planPart is one part of a step: rows [lo, hi) and the spans that
+// overlap them (spansIn).
+type planPart struct {
+	lo, hi int
+	spans  []rowSpan
 }
 
 // rowSpan is a range of two or more rows [lo, hi) that a step computes as
@@ -85,18 +95,16 @@ func NewSweepPlan(m *CSR, workers int) *SweepPlan {
 	p.findSpans()
 	w := p.fanout(workers)
 	if w == 1 {
+		p.parts = []planPart{{0, m.n, p.spans}}
 		p.slots = make([]float64, 1)
 		return p
 	}
 	cuts := m.rowCuts(w)
-	parts := len(cuts) - 1
-	p.slots = make([]float64, parts*slotStride)
-	for c := 0; c < parts; c++ {
-		mx := &p.slots[c*slotStride]
+	for c := 0; c+1 < len(cuts); c++ {
 		lo, hi := cuts[c], cuts[c+1]
-		spans := p.spansIn(lo, hi)
-		p.tasks = append(p.tasks, func() { p.rows(mx, spans, lo, hi) })
+		p.parts = append(p.parts, planPart{lo, hi, p.spansIn(lo, hi)})
 	}
+	p.slots = make([]float64, len(p.parts)*slotStride)
 	return p
 }
 
@@ -189,20 +197,41 @@ func (p *SweepPlan) check(next, cur []float64) {
 	}
 }
 
+// Sweep calls loop, which runs the steps of one sweep. A plan that fans
+// out runs loop inside parallel.Steps: its helpers start when loop starts,
+// run the parts of every Step that loop calls, and have exited when Sweep
+// returns, however loop ends.
+func (p *SweepPlan) Sweep(loop func()) {
+	parallel.Steps(len(p.parts), p.part, func(step func()) {
+		p.step = step
+		defer func() { p.step = nil }()
+		loop()
+	})
+}
+
 // Step advances one uniformisation step, next = M·cur, and returns the
 // steady-test difference max_i |next[i] − cur[i]|. When acc is non-nil it
 // also accumulates acc += weight·cur in the same pass over the rows. next
-// and cur must not alias.
+// and cur must not alias. Outside Sweep the parts run one after another
+// on the caller, with the same bits.
 func (p *SweepPlan) Step(next, cur []float64, weight float64, acc []float64) float64 {
 	p.check(next, cur)
 	p.next, p.cur, p.weight, p.acc = next, cur, weight, acc
-	if p.tasks != nil {
-		parallel.Do(p.tasks...)
+	if p.step != nil {
+		p.step()
 	} else {
-		p.rows(&p.slots[0], p.spans, 0, p.m.n)
+		for c := range p.parts {
+			p.part(c)
+		}
 	}
 	p.next, p.cur, p.acc = nil, nil, nil
 	return p.maxDiff()
+}
+
+// part runs part c of the running step.
+func (p *SweepPlan) part(c int) {
+	pt := &p.parts[c]
+	p.rows(&p.slots[c*slotStride], pt.spans, pt.lo, pt.hi)
 }
 
 // maxDiff folds the per-part maxima.

@@ -1,9 +1,12 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // planCSR returns a random n×n matrix (n ≥ 8) whose special rows are the
@@ -108,32 +111,36 @@ func checkPlanSteps(t *testing.T, m *CSR, src []float64, workers int, accumulate
 	oAcc := Clone(pAcc)
 	plan := NewSweepPlan(m, workers)
 	plan.Seed(pNext, pCur)
-	for step := 0; step < 3; step++ {
-		weight := 0.25 + float64(step)/8
-		var stepAcc []float64
-		if accumulate {
-			stepAcc = pAcc
-		}
-		diff := plan.Step(pNext, pCur, weight, stepAcc)
+	// Inside Sweep, so that a plan that fans out runs its parts on its
+	// team.
+	plan.Sweep(func() {
+		for step := 0; step < 3; step++ {
+			weight := 0.25 + float64(step)/8
+			var stepAcc []float64
+			if accumulate {
+				stepAcc = pAcc
+			}
+			diff := plan.Step(pNext, pCur, weight, stepAcc)
 
-		m.MulBlockRows(oNext, oCur, 1, 0, n)
-		if accumulate {
-			AXPY(weight, oCur, oAcc)
-		}
-		if want := maxDiff(oNext, oCur); !sameBits(diff, want) {
-			t.Fatalf("step %d: diff %v, oracle %v", step, diff, want)
-		}
-		for i := 0; i < n; i++ {
-			if !sameBits(pNext[i], oNext[i]) {
-				t.Fatalf("step %d: next[%d] = %v, oracle %v", step, i, pNext[i], oNext[i])
+			m.MulBlockRows(oNext, oCur, 1, 0, n)
+			if accumulate {
+				AXPY(weight, oCur, oAcc)
 			}
-			if !sameBits(pAcc[i], oAcc[i]) {
-				t.Fatalf("step %d: acc[%d] = %v, oracle %v", step, i, pAcc[i], oAcc[i])
+			if want := maxDiff(oNext, oCur); !sameBits(diff, want) {
+				t.Fatalf("step %d: diff %v, oracle %v", step, diff, want)
 			}
+			for i := 0; i < n; i++ {
+				if !sameBits(pNext[i], oNext[i]) {
+					t.Fatalf("step %d: next[%d] = %v, oracle %v", step, i, pNext[i], oNext[i])
+				}
+				if !sameBits(pAcc[i], oAcc[i]) {
+					t.Fatalf("step %d: acc[%d] = %v, oracle %v", step, i, pAcc[i], oAcc[i])
+				}
+			}
+			pCur, pNext = pNext, pCur
+			oCur, oNext = oNext, oCur
 		}
-		pCur, pNext = pNext, pCur
-		oCur, oNext = oNext, oCur
-	}
+	})
 }
 
 // TestSweepPlanSeedsFixedRows pins the seeding: a fixed row holds
@@ -173,6 +180,58 @@ func TestSweepPlanStepMatchesMulVecBitwise(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSweepTeamExits pins the lifetime of a plan's team: once Sweep
+// returns, runtime.NumGoroutine() is back to its baseline, whether the
+// step loop ran to its end, broke off early (as at a steady-state
+// detection) or returned an error.
+func TestSweepTeamExits(t *testing.T) {
+	const n = 400
+	m := randomCSR(t, n, 8, 11)
+	p := NewSweepPlan(m, 4)
+	if len(p.parts) < 2 {
+		t.Fatal("the plan does not fan out")
+	}
+	errStop := errors.New("stop")
+	ends := map[string]func(step int) (bool, error){
+		"normal end":  func(int) (bool, error) { return false, nil },
+		"early break": func(step int) (bool, error) { return step == 3, nil },
+		"error return": func(step int) (bool, error) {
+			if step == 3 {
+				return false, errStop
+			}
+			return false, nil
+		},
+	}
+	for name, end := range ends {
+		base := runtime.NumGoroutine()
+		cur, next := randomVec(n, 5), make([]float64, n)
+		p.Seed(next, cur)
+		var err error
+		steps := 0
+		p.Sweep(func() {
+			for step := 0; step < 20; step++ {
+				p.Step(next, cur, 0.5, nil)
+				steps++
+				var stop bool
+				if stop, err = end(step); stop || err != nil {
+					return
+				}
+				cur, next = next, cur
+			}
+		})
+		if wantErr := name == "error return"; (err != nil) != wantErr || (steps == 20) != (name == "normal end") {
+			t.Fatalf("%s: %d steps, error %v", name, steps, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after Sweep, %d before", name, runtime.NumGoroutine(), base)
+			}
+			runtime.Gosched()
 		}
 	}
 }

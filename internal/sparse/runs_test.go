@@ -174,7 +174,7 @@ func TestSweepPlanRunsMatchRowKernel(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		p := NewSweepPlan(m, workers)
 		if workers > 1 {
-			if p.tasks == nil {
+			if len(p.parts) < 2 {
 				t.Fatalf("workers=%d: the plan does not fan out", workers)
 			}
 			cuts := m.rowCuts(p.fanout(workers))
@@ -216,9 +216,11 @@ func BenchmarkSweepPlanRuns(b *testing.B) {
 					p := NewSweepPlan(m, workers)
 					p.Seed(next, cur)
 					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						p.Step(next, cur, 0.5, acc)
-					}
+					p.Sweep(func() {
+						for i := 0; i < b.N; i++ {
+							p.Step(next, cur, 0.5, acc)
+						}
+					})
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NNZ()), "ns/entry")
 				})
 			}

@@ -11,15 +11,17 @@
 // rows, and a backward plan leaves the fixed rows (lone unit diagonals,
 // the absorbing states) out of the product and computes each
 // shift-invariant run of rows (row r0+i is row r0 shifted i columns, as
-// in the phases of an Erlang expansion) as contiguous AXPYs. Every kernel
-// keeps each column bitwise equal to the sequential vector product; see
-// DESIGN.md "Row kernels and the sweep plan".
+// in the phases of an Erlang expansion) as contiguous AXPYs. The steps of
+// a sweep run inside SweepPlan.Sweep: a plan that fans out keeps one team
+// of helpers (parallel.Steps) for the whole step loop, and each step hands
+// the team its parts at the nnz-balanced row cuts. Every kernel keeps each
+// column bitwise equal to the sequential vector product; see DESIGN.md
+// "Row kernels and the sweep plan".
 package sparse
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -96,22 +98,6 @@ func tripletLess(a, b Triplet) bool {
 		return a.Row < b.Row
 	}
 	return a.Col < b.Col
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *CSR {
-	m := &CSR{
-		n:      n,
-		rowPtr: make([]int, n+1),
-		col:    make([]int, n),
-		val:    make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		m.rowPtr[i+1] = i + 1
-		m.col[i] = i
-		m.val[i] = 1
-	}
-	return m
 }
 
 // Dim returns the dimension n of the square matrix.
@@ -195,29 +181,6 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// Scale returns a new matrix α·M.
-func (m *CSR) Scale(alpha float64) *CSR {
-	s := m.clone()
-	for i := range s.val {
-		s.val[i] *= alpha
-	}
-	return s
-}
-
-// ScaleRows returns a new matrix diag(w)·M, i.e. row i multiplied by w[i].
-func (m *CSR) ScaleRows(w []float64) (*CSR, error) {
-	if len(w) != m.n {
-		return nil, fmt.Errorf("%w: weight length %d for %d×%d matrix", ErrDimension, len(w), m.n, m.n)
-	}
-	s := m.clone()
-	for i := 0; i < s.n; i++ {
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			s.val[k] *= w[i]
-		}
-	}
-	return s, nil
-}
-
 // AddDiagonal returns a new matrix M + diag(d). Diagonal entries that are
 // not yet present in the pattern are inserted.
 func (m *CSR) AddDiagonal(d []float64) (*CSR, error) {
@@ -234,31 +197,6 @@ func (m *CSR) AddDiagonal(d []float64) (*CSR, error) {
 		}
 	}
 	return NewFromTriplets(m.n, ts)
-}
-
-func (m *CSR) clone() *CSR {
-	c := &CSR{
-		n:      m.n,
-		rowPtr: make([]int, len(m.rowPtr)),
-		col:    make([]int, len(m.col)),
-		val:    make([]float64, len(m.val)),
-	}
-	copy(c.rowPtr, m.rowPtr)
-	copy(c.col, m.col)
-	copy(c.val, m.val)
-	return c
-}
-
-// MaxAbs returns the largest absolute value of any stored entry,
-// or 0 for an empty matrix.
-func (m *CSR) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.val {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // String renders small matrices for debugging; large matrices are summarised.

@@ -1,18 +1,7 @@
 package sparse
 
-import "math"
-
 // Vector helpers shared by the numerical procedures. All operate on plain
 // []float64 so callers can reuse buffers.
-
-// Dot returns the inner product of x and y.
-func Dot(x, y []float64) float64 {
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
 
 // AXPY computes y += alpha·x in place, four elements at a time; each
 // element gets the one expression y[i] += alpha·x[i] whatever the order.
@@ -53,28 +42,6 @@ func Sum(x []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// MaxDiff returns max_i |x[i]-y[i]|.
-func MaxDiff(x, y []float64) float64 {
-	var m float64
-	for i, v := range x {
-		if d := math.Abs(v - y[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// NormInf returns max_i |x[i]|.
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Clone returns a copy of x.

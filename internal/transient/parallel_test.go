@@ -4,8 +4,11 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/obs"
+	"github.com/performability/csrl/internal/parallel"
 )
 
 // bigRing builds a ring CTMC with forward/backward/skip transitions, large
@@ -99,5 +102,68 @@ func TestDistributionParallelEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSweepTeamExits pins the lifetime of a sweep's team: after
+// ReachProbAll returns, at the end of the Poisson window or at a
+// steady-state break, runtime.NumGoroutine() is back to its baseline.
+// The goal states are absorbing, so the iterate converges well inside the
+// window. The sweep fans out (parallel.ChunkCount moves).
+func TestSweepTeamExits(t *testing.T) {
+	ring := bigRing(t, 600)
+	goal := ring.Label("goal")
+	m, err := ring.MakeAbsorbing(goal, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"window end", Options{Epsilon: 1e-12, Workers: 4, SteadyDetect: SteadyOff}},
+		{"steady break", Options{Epsilon: 1e-6, Workers: 4}},
+	} {
+		base := runtime.NumGoroutine()
+		chunks := parallel.ChunkCount()
+		rec := obs.New()
+		tc.opts.Obs = rec
+		if _, err := ReachProbAll(m, goal, 40, tc.opts); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if parallel.ChunkCount() == chunks {
+			t.Fatalf("%s: the sweep did not fan out", tc.name)
+		}
+		steady := rec.Counter("steady.detections").Value() > 0
+		if steady != (tc.name == "steady break") {
+			t.Fatalf("%s: steady-state detections %v", tc.name, steady)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after the sweep, %d before", tc.name, runtime.NumGoroutine(), base)
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestSweepOneCoreBitwise runs a Workers 4 sweep, whose team has three
+// helpers, with one scheduling core: it finishes and gives the Workers 1
+// bits.
+func TestSweepOneCoreBitwise(t *testing.T) {
+	m := bigRing(t, 600)
+	goal := m.Label("goal")
+	want, err := ReachProbAll(m, goal, 1.3, Options{Epsilon: 1e-12, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	got, err := ReachProbAll(m, goal, 1.3, Options{Epsilon: 1e-12, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(got, want) {
+		t.Fatal("Workers 4 at GOMAXPROCS=1 differs from Workers 1")
 	}
 }

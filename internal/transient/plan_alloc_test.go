@@ -25,21 +25,23 @@ func planStepAllocs(t *testing.T, n, workers int) float64 {
 	acc := make([]float64, dim)
 	plan := sparse.NewSweepPlan(p, workers)
 	plan.Seed(next, cur)
-	return testing.AllocsPerRun(20, func() {
-		plan.Step(next, cur, 0.5, acc)
-		cur, next = next, cur
+	var allocs float64
+	plan.Sweep(func() {
+		allocs = testing.AllocsPerRun(20, func() {
+			plan.Step(next, cur, 0.5, acc)
+			cur, next = next, cur
+		})
 	})
+	return allocs
 }
 
-// TestSweepPlanStepAllocs pins that the per-pass setup lives in the plan:
-// a sequential step allocates nothing, and a partitioned step allocates
-// only the fan-out's own bookkeeping, the same amount at every model size.
+// TestSweepPlanStepAllocs pins that the per-pass setup lives in the plan
+// and its team: a step inside Sweep allocates nothing, sequential or
+// partitioned.
 func TestSweepPlanStepAllocs(t *testing.T) {
-	if a := planStepAllocs(t, 60, 1); a != 0 {
-		t.Errorf("Workers=1 step allocates %v times, want 0", a)
-	}
-	small, large := planStepAllocs(t, 20, 4), planStepAllocs(t, 60, 4)
-	if small != large {
-		t.Errorf("Workers=4 step allocates %v times on cluster:20 but %v on cluster:60", small, large)
+	for _, workers := range []int{1, 4} {
+		if a := planStepAllocs(t, 60, workers); a != 0 {
+			t.Errorf("Workers=%d step allocates %v times, want 0", workers, a)
+		}
 	}
 }

@@ -58,7 +58,7 @@ func TestSteadyDetectStopsEarly(t *testing.T) {
 	if prodOn > w.Right/2 {
 		t.Errorf("early exit after %d of %d products — later than the absorbing structure warrants", prodOn, w.Right)
 	}
-	if d := sparse.MaxDiff(on, off); d > eps {
+	if d := maxDiff(on, off); d > eps {
 		t.Errorf("steady-detect result differs from full summation by %g > ε=%g", d, eps)
 	}
 	for s, x := range on {
@@ -127,7 +127,7 @@ func TestSteadyDetectFixedPoint(t *testing.T) {
 		if prodOn >= prodOff/10 {
 			t.Fatalf("v=%g: fixed-point sweep still applied %d of %d passes", c, prodOn, prodOff)
 		}
-		if d := sparse.MaxDiff(accOn, accOff); d > eps {
+		if d := maxDiff(accOn, accOff); d > eps {
 			t.Errorf("v=%g: steady-detect differs from full summation by %g > ε", c, d)
 		}
 	}
@@ -186,4 +186,15 @@ func TestSweepPoolRoundTrip(t *testing.T) {
 	if got := pool.Len(m.N()); got != 2 {
 		t.Errorf("pool holds %d free buffers of size %d, want 2 (cur and next)", got, m.N())
 	}
+}
+
+// maxDiff returns max_i |x[i] − y[i]|.
+func maxDiff(x, y []float64) float64 {
+	var m float64
+	for i, v := range x {
+		if d := math.Abs(v - y[i]); d > m {
+			m = d
+		}
+	}
+	return m
 }

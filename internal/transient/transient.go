@@ -195,9 +195,10 @@ func (o Options) poissonWeights(q, fgEps float64) (*numeric.PoissonWeights, erro
 // matrix passes applied. Each step is one sparse.SweepPlan step: the
 // product, the accumulate of the current iterate (inside the Fox–Glynn
 // window) and the steady-test difference in one pass, with the fixed rows
-// left out of the product. The plan keeps the arithmetic order of the
-// sequential vector product, so the result is bitwise the same at every
-// workers value.
+// left out of the product. The step loop runs inside the plan's Sweep, so
+// a plan that fans out keeps one team of helpers for the whole loop. The
+// plan keeps the arithmetic order of the sequential vector product, so
+// the result is bitwise the same at every workers value.
 //
 // Steady-state detection: P is stochastic, so the iteration is
 // non-expansive in the ∞-norm. Once one application moves the iterate by
@@ -226,39 +227,41 @@ func sweep(p *sparse.CSR, v []float64, w *numeric.PoissonWeights, q float64, opt
 	_, steadyEps, _ := opts.budgetSplit(false)
 	delta := steadyEps / q
 	products := 0
-	for step := 0; step <= w.Right; step++ {
-		if step == w.Right {
-			sparse.AXPY(w.Weight(step), cur, acc)
-			break
-		}
-		// One pass: next = P·cur, the accumulate of cur once inside the
-		// window, and the steady-test difference.
-		var stepAcc []float64
-		if step >= w.Left {
-			stepAcc = acc
-		}
-		diff := plan.Step(next, cur, w.Weight(step), stepAcc)
-		products++
-		if detect && diff < delta {
-			// Converged: charge the remaining Poisson mass to the fixed
-			// point instead of applying w.Right − step more no-op
-			// products. kSum = Σ (k − step)·w(k) weights the measured step
-			// size diff into the exact series mis-weighting this shortcut
-			// causes.
-			var tail, kSum float64
-			for k := step + 1; k <= w.Right; k++ {
-				tail += w.Weight(k)
-				kSum += float64(k-step) * w.Weight(k)
+	plan.Sweep(func() {
+		for step := 0; step <= w.Right; step++ {
+			if step == w.Right {
+				sparse.AXPY(w.Weight(step), cur, acc)
+				break
 			}
-			sparse.AXPY(tail, next, acc)
-			if opts.Obs != nil {
-				opts.Obs.Counter("steady.detections").Inc()
-				opts.Obs.Charge("steady", "tail-charge", diff*kSum)
+			// One pass: next = P·cur, the accumulate of cur once inside the
+			// window, and the steady-test difference.
+			var stepAcc []float64
+			if step >= w.Left {
+				stepAcc = acc
 			}
-			break
+			diff := plan.Step(next, cur, w.Weight(step), stepAcc)
+			products++
+			if detect && diff < delta {
+				// Converged: charge the remaining Poisson mass to the fixed
+				// point instead of applying w.Right − step more no-op
+				// products. kSum = Σ (k − step)·w(k) weights the measured step
+				// size diff into the exact series mis-weighting this shortcut
+				// causes.
+				var tail, kSum float64
+				for k := step + 1; k <= w.Right; k++ {
+					tail += w.Weight(k)
+					kSum += float64(k-step) * w.Weight(k)
+				}
+				sparse.AXPY(tail, next, acc)
+				if opts.Obs != nil {
+					opts.Obs.Counter("steady.detections").Inc()
+					opts.Obs.Charge("steady", "tail-charge", diff*kSum)
+				}
+				break
+			}
+			cur, next = next, cur
 		}
-		cur, next = next, cur
-	}
+	})
 	pool.Put(cur)
 	pool.Put(next)
 	if opts.Obs != nil {

@@ -64,6 +64,17 @@ func racyFold(xs []float64) float64 {
 	return s
 }
 
+// A captured scalar accumulated inside a part of a step team.
+func racyTeamFold(xs []float64) float64 {
+	s := 0.0
+	parallel.Steps(len(xs), func(i int) {
+		s += xs[i] // want "captured float accumulator s inside a parallel.Steps task"
+	}, func(step func()) {
+		step()
+	})
+	return s
+}
+
 // The annotation needs a reason.
 //
 //numerics:order-invariant // want "needs a reason"

@@ -42,3 +42,13 @@ func nested(xs []float64) {
 		parallel.Do(func() {}) // want "nested inside a worker body"
 	})
 }
+
+func teamUnderLock(xs []float64) {
+	mu.Lock()
+	defer mu.Unlock()
+	parallel.Steps(2, func(i int) { // want "parallel region entered while holding mu"
+		xs[i] *= 2
+	}, func(step func()) {
+		step()
+	})
+}
