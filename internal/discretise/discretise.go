@@ -429,10 +429,8 @@ func (p *prepared) reachProb(from int, sc *scratch) float64 {
 	// preserves the sequential arithmetic order per state: results are
 	// bitwise identical for every workers value.
 	R := p.R
-	// The per-step operands the rows read, set before each step.
-	var cur, next [][]float64
-	var curBand, nextBand []band
 	rows := func(lo, hi int) {
+		cur, curBand, next, nextBand := sc.cur, sc.curBand, sc.next, sc.nextBand
 		for _, s := range p.rows[lo:hi] {
 			cols, vals := p.rt.RowRange(s)
 			shifts := p.inShift[s][:len(cols)]
@@ -481,10 +479,9 @@ func (p *prepared) reachProb(from int, sc *scratch) float64 {
 	// the rows.
 	parallel.ForSteps(p.workers, len(p.rows), rows, func(step func()) {
 		for j := 1; j < p.T; j++ {
-			cur, curBand, next, nextBand = sc.cur, sc.curBand, sc.next, sc.nextBand
 			step()
-			sc.cur, sc.next = next, cur
-			sc.curBand, sc.nextBand = nextBand, curBand
+			sc.cur, sc.next = sc.next, sc.cur
+			sc.curBand, sc.nextBand = sc.nextBand, sc.curBand
 		}
 	})
 

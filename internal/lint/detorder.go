@@ -330,9 +330,9 @@ func accumTarget(info *types.Info, as *ast.AssignStmt) (*ast.Ident, bool) {
 // checkParallelTasks reports captured float scalars accumulated inside
 // the task literals of a parallel region (parallelTasks): concurrent
 // tasks folding into one captured accumulator have a
-// scheduling-dependent (and racy) reduction order. Indexed writes (y[i] += ...) are per-element and stay
-// silent here; the loop-shape rule above covers their worker-count
-// dependence.
+// scheduling-dependent (and racy) reduction order. Indexed writes
+// (y[i] += ...) are per-element and stay silent here; the loop-shape rule
+// above covers their worker-count dependence.
 func checkParallelTasks(pass *Pass, taint map[types.Object]bool, body *ast.BlockStmt, reported map[ast.Node]bool) {
 	info := pass.Info
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -41,10 +41,9 @@ var (
 	queue     chan func()
 	// chunks counts every task dispatched by a multi-task Do and every
 	// part of a team's step — the work-partition dimension the
-	// observability layer reports. Global
-	// and monotonic like the pool itself; consumers snapshot it into a
-	// gauge (inline single-task runs are not parallel chunks and are not
-	// counted).
+	// observability layer reports. Global and monotonic like the pool
+	// itself; consumers snapshot it into a gauge (inline single-task runs
+	// are not parallel chunks and are not counted).
 	chunks atomic.Int64
 )
 

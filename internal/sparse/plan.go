@@ -78,13 +78,14 @@ type rowSpan struct {
 // runEntryCost is the factor by which the fan-out decision discounts a
 // stored entry of a shift-invariant run against an indirect CSR entry: a
 // run entry is one element of a contiguous AXPY, and a run-only matrix
-// fans out at parGrain·runEntryCost = 32 768 entries. Measured with
-// BenchmarkSweepPlanRuns on a 2-vCPU x86-64 host, the constant set to 1 so
-// that every size splits, medians of 5 runs of one step, one part
-// against two: 5k run entries 12.0 against 14.9 µs, 20k 42 against 47,
-// 41k 94 against 95, 61k 131 against 122, 164k 342 against 290. A run
-// entry took about half the time of an indirect one (2.1 against 4.1 ns
-// at 20k entries, workers 1).
+// fans out at parGrain·runEntryCost = 32 768 entries. Measured as for
+// parGrain, over run entries, one part against two: 1 281 run entries 2.2
+// against 3.1 µs, 2 561 4.0 against 4.6, 5 121 8.3 against 6.5, 20 481 31
+// against 20 and 81 921 122 against 78. A run entry takes about 0.4 of
+// the time of an indirect one (1.5 against 3.6 ns at 20k entries, one
+// part), and two parts pay from between 2.6k and 5.1k run entries, so
+// this factor keeps run-heavy matrices in one part well past their
+// crossover.
 const runEntryCost = 32
 
 // NewSweepPlan returns the plan of a sweep through m (next = M·cur) at the
