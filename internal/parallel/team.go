@@ -8,16 +8,22 @@ import (
 
 // Steps runs a stepped kernel. loop calls step once per step; a step runs
 // part(0), …, part(parts−1) once each, possibly concurrently, and returns
-// when all of them have finished. Steps starts parts−1 helper goroutines
-// before it calls loop, and they have exited when Steps returns, whether
-// loop returns or panics. The caller runs parts too.
+// when all of them have finished. Steps starts up to parts−1 helper
+// goroutines before it calls loop, and they have exited when Steps
+// returns, whether loop returns or panics. The caller runs parts too.
+//
+// Helpers come from one budget for the whole process: GOMAXPROCS−1 slots,
+// so the spinning helpers of all running teams together never outnumber
+// the scheduling cores beside one caller. A team takes what slots are free
+// when it starts and gives them back when it ends; a team that gets fewer
+// than parts−1, or none, runs the rest of its parts on the caller. The
+// parts themselves, and so the results, do not depend on the slots taken.
 //
 // A step hands its parts out through an atomic counter: the caller and
 // the helpers claim the next unclaimed part until none is left, then the
 // caller waits for the parts that others claimed. So a step never waits on
-// a helper that has not started: with one scheduling core, or with more
-// runnable goroutines than cores, the caller runs more of the parts
-// itself. Between steps a helper waits for the next one by spinning on an
+// a helper that has not started: with more runnable goroutines than
+// cores, the caller runs more of the parts itself. Between steps a helper waits for the next one by spinning on an
 // atomic with runtime.Gosched, so a step costs no channel hand-off and no
 // wake-up of a parked goroutine. The price is that the helpers keep their
 // cores busy while loop runs, which is why a team lives only as long as
@@ -41,12 +47,32 @@ func Steps(parts int, part func(i int), loop func(step func())) {
 		return
 	}
 	t := &team{parts: int64(parts), part: part}
-	t.helpers.Add(parts - 1)
-	for h := 1; h < parts; h++ {
+	h := takeSlots(parts - 1)
+	t.helpers.Add(h)
+	for range h {
 		go t.help()
 	}
-	defer t.dismiss()
+	defer t.dismiss(h)
 	loop(t.step)
+}
+
+// slotsTaken counts the helper slots that running teams hold.
+var slotsTaken atomic.Int64
+
+// takeSlots takes up to want helper slots from the budget of
+// GOMAXPROCS−1 and returns how many it took.
+func takeSlots(want int) int {
+	limit := int64(runtime.GOMAXPROCS(0) - 1)
+	for {
+		taken := slotsTaken.Load()
+		k := min(int64(want), limit-taken)
+		if k <= 0 {
+			return 0
+		}
+		if slotsTaken.CompareAndSwap(taken, taken+k) {
+			return int(k)
+		}
+	}
 }
 
 // ForSteps is Steps over For's chunks: each step calls fn(lo, hi) for the
@@ -136,8 +162,10 @@ func (t *team) help() {
 	}
 }
 
-// dismiss stops the helpers and waits until they have exited.
-func (t *team) dismiss() {
+// dismiss stops the team's h helpers, waits until they have exited and
+// gives their slots back.
+func (t *team) dismiss(h int) {
 	t.stop.Store(true)
 	t.helpers.Wait()
+	slotsTaken.Add(int64(-h))
 }

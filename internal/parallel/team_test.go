@@ -144,8 +144,8 @@ func TestStepsPartPanicReachesCaller(t *testing.T) {
 	}
 }
 
-// TestStepsOneCore runs a team of four parts with one scheduling core: the
-// caller must not wait on a helper that has not run, so the loop finishes.
+// TestStepsOneCore runs a team of four parts with one scheduling core:
+// the budget has no helper slot, so the caller runs every part.
 func TestStepsOneCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var total int64
@@ -156,6 +156,68 @@ func TestStepsOneCore(t *testing.T) {
 	})
 	if total != 1000*(0+1+2+3) {
 		t.Fatalf("parts summed to %d, want %d", total, 1000*6)
+	}
+}
+
+// TestTakeSlotsBudget pins the helper budget: GOMAXPROCS−1 slots for the
+// whole process, handed out until none is left.
+func TestTakeSlotsBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	if got := takeSlots(3); got != 2 {
+		t.Fatalf("first team took %d slots at GOMAXPROCS 3, want 2", got)
+	}
+	if got := takeSlots(1); got != 0 {
+		t.Fatalf("second team took %d slots with the budget spent, want 0", got)
+	}
+	slotsTaken.Add(-1)
+	if got := takeSlots(5); got != 1 {
+		t.Fatalf("third team took %d slots with one free, want 1", got)
+	}
+	slotsTaken.Add(-2)
+	runtime.GOMAXPROCS(1)
+	if got := takeSlots(3); got != 0 {
+		t.Fatalf("took %d slots at GOMAXPROCS 1, want 0", got)
+	}
+}
+
+// TestConcurrentTeamsShareTheBudget runs more teams at once than there
+// are cores: together they never hold more than GOMAXPROCS−1 helpers,
+// every part of every step runs once, and the slots are back when the
+// teams have returned.
+func TestConcurrentTeamsShareTheBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const teams, parts, steps = 6, 4, 300
+	var over atomic.Bool
+	totals := make([]int64, teams)
+	done := make(chan struct{})
+	for k := range teams {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			Steps(parts, func(i int) {
+				if slotsTaken.Load() > 1 {
+					over.Store(true)
+				}
+				atomic.AddInt64(&totals[k], int64(i))
+			}, func(step func()) {
+				for range steps {
+					step()
+				}
+			})
+		}()
+	}
+	for range teams {
+		<-done
+	}
+	if over.Load() {
+		t.Error("the running teams held more than GOMAXPROCS−1 helper slots")
+	}
+	for k, got := range totals {
+		if want := int64(steps * (0 + 1 + 2 + 3)); got != want {
+			t.Errorf("team %d: parts summed to %d, want %d", k, got, want)
+		}
+	}
+	if n := slotsTaken.Load(); n != 0 {
+		t.Errorf("%d helper slots still taken after every team returned", n)
 	}
 }
 

@@ -213,18 +213,15 @@ func (p *SweepPlan) Sweep(loop func()) {
 // Step advances one uniformisation step, next = M·cur, and returns the
 // steady-test difference max_i |next[i] − cur[i]|. When acc is non-nil it
 // also accumulates acc += weight·cur in the same pass over the rows. next
-// and cur must not alias. Outside Sweep the parts run one after another
-// on the caller, with the same bits.
+// and cur must not alias. Step runs only inside Sweep.
 func (p *SweepPlan) Step(next, cur []float64, weight float64, acc []float64) float64 {
 	p.check(next, cur)
-	p.next, p.cur, p.weight, p.acc = next, cur, weight, acc
-	if p.step != nil {
-		p.step()
-	} else {
-		for c := range p.parts {
-			p.part(c)
-		}
+	if p.step == nil {
+		//lint:ignore bannedcall a Step outside Sweep is a programmer error: it has no team to run its parts on
+		panic("sparse: SweepPlan.Step called outside Sweep")
 	}
+	p.next, p.cur, p.weight, p.acc = next, cur, weight, acc
+	p.step()
 	p.next, p.cur, p.acc = nil, nil, nil
 	return p.maxDiff()
 }

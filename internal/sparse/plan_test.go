@@ -235,3 +235,16 @@ func TestSweepTeamExits(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepPlanStepOutsideSweepPanics pins that a Step has a team to run
+// on: called outside Sweep it panics instead of running without one.
+func TestSweepPlanStepOutsideSweepPanics(t *testing.T) {
+	const n = 50
+	p := NewSweepPlan(randomCSR(t, n, 4, 3), 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Step outside Sweep did not panic")
+		}
+	}()
+	p.Step(make([]float64, n), randomVec(n, 1), 0.5, nil)
+}
