@@ -2,6 +2,7 @@ package transient
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"github.com/performability/csrl/internal/cluster"
@@ -15,6 +16,12 @@ import (
 // made absorbing, the layer the transient.sweep span measures. Lumping,
 // the absorbing model, the matrix and the Fox–Glynn table are built
 // outside the timer.
+//
+// The contended sub-benchmarks time the same sweep beside other work in
+// the process: "concurrent" runs GOMAXPROCS sweeps at once (RunParallel;
+// ns/op is wall time over all of them), as concurrent csrld requests do,
+// and "beside-spin" runs each sweep while one goroutine keeps a core busy
+// with arithmetic.
 func BenchmarkUntilSweep(b *testing.B) {
 	p, err := cluster.Default(60)
 	if err != nil {
@@ -55,6 +62,35 @@ func BenchmarkUntilSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sweep(pm, v, w, lambda*t, opts)
 			}
+		})
+		b.Run(fmt.Sprintf("workers=%d/concurrent", workers), func(b *testing.B) {
+			opts.Workers = workers
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					sweep(pm, v, w, lambda*t, opts)
+				}
+			})
+		})
+		b.Run(fmt.Sprintf("workers=%d/beside-spin", workers), func(b *testing.B) {
+			opts.Workers = workers
+			var stop atomic.Bool
+			spun := make(chan float64)
+			go func() {
+				x := 1.0
+				for !stop.Load() {
+					for range 1 << 10 {
+						x = x*1.0000001 + 1e-9
+					}
+				}
+				spun <- x
+			}()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep(pm, v, w, lambda*t, opts)
+			}
+			b.StopTimer()
+			stop.Store(true)
+			<-spun
 		})
 	}
 }
