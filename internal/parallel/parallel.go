@@ -14,7 +14,8 @@
 // such as a uniformisation sweep — runs its loop inside Steps or
 // ForSteps instead: a team of helpers that lives for the loop and takes
 // each step's parts through atomics, so a step pays no channel hand-off
-// and no wake-up of a parked worker.
+// and no wake-up of a parked worker. The helpers of all running teams
+// share one budget of GOMAXPROCS−1 slots.
 package parallel
 
 import (

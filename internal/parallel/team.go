@@ -15,9 +15,10 @@ import (
 // Helpers come from one budget for the whole process: GOMAXPROCS−1 slots,
 // so the spinning helpers of all running teams together never outnumber
 // the scheduling cores beside one caller. A team takes what slots are free
-// when it starts and gives them back when it ends; a team that gets fewer
-// than parts−1, or none, runs the rest of its parts on the caller. The
-// parts themselves, and so the results, do not depend on the slots taken.
+// when it starts, and each helper gives its slot back when it exits; a
+// team that gets fewer than parts−1, or none, runs the rest of its parts
+// on the caller. The parts themselves, and so the results, do not depend
+// on the slots taken.
 //
 // A step hands its parts out through an atomic counter: the caller and
 // the helpers claim the next unclaimed part until none is left, then the
@@ -28,6 +29,12 @@ import (
 // wake-up of a parked goroutine. The price is that the helpers keep their
 // cores busy while loop runs, which is why a team lives only as long as
 // the step loop of one kernel call.
+//
+// A helper that has run a part and then arrives at a step whose parts are
+// all claimed leaves the team: it is not keeping up, because the host or
+// the process's other goroutines have taken its core, and a helper that
+// loses its core in the middle of a part holds the whole step up. The
+// caller runs the parts the helper would have run.
 //
 // part must be safe to run concurrently for distinct indices. What loop
 // writes before it calls step is visible to every part of that step, and
@@ -52,7 +59,7 @@ func Steps(parts int, part func(i int), loop func(step func())) {
 	for range h {
 		go t.help()
 	}
-	defer t.dismiss(h)
+	defer t.dismiss()
 	loop(t.step)
 }
 
@@ -123,24 +130,29 @@ func (t *team) step() {
 	}
 }
 
-// claim runs unclaimed parts of the running step until none is left.
-func (t *team) claim() {
+// claim runs unclaimed parts of the running step until none is left and
+// reports whether it ran any.
+func (t *team) claim() bool {
+	ran := false
 	for {
 		i := t.next.Add(1) - 1
 		if i >= t.parts {
-			return
+			return ran
 		}
 		t.part(int(i))
 		t.done.Add(1)
+		ran = true
 	}
 }
 
 // help is a helper's life: claim the parts of each new step until the
-// team is dismissed. A part that panics ends the helper; the panic is
-// kept for step to raise and the part counts as finished, so the step's
-// wait ends.
+// team is dismissed, or until it finds a step with no part left after
+// having run one before. Its slot goes back to the budget when it exits.
+// A part that panics ends the helper; the panic is kept for step to raise
+// and the part counts as finished, so the step's wait ends.
 func (t *team) help() {
 	defer t.helpers.Done()
+	defer slotsTaken.Add(-1)
 	defer func() {
 		if r := recover(); r != nil {
 			t.fault.CompareAndSwap(nil, &partPanic{r})
@@ -148,6 +160,7 @@ func (t *team) help() {
 		}
 	}()
 	var seen uint64
+	joined := false
 	for {
 		g := t.gen.Load()
 		if g == seen {
@@ -158,14 +171,16 @@ func (t *team) help() {
 			continue
 		}
 		seen = g
-		t.claim()
+		ran := t.claim()
+		if joined && !ran {
+			return
+		}
+		joined = joined || ran
 	}
 }
 
-// dismiss stops the team's h helpers, waits until they have exited and
-// gives their slots back.
-func (t *team) dismiss(h int) {
+// dismiss stops the helpers and waits until they have exited.
+func (t *team) dismiss() {
 	t.stop.Store(true)
 	t.helpers.Wait()
-	slotsTaken.Add(int64(-h))
 }

@@ -221,6 +221,46 @@ func TestConcurrentTeamsShareTheBudget(t *testing.T) {
 	}
 }
 
+// TestStepsLaggingHelperLeaves makes the team's one helper fall behind:
+// after a step it took part in, the cores drop to one, so the caller runs
+// every part of the next step before the helper gets to look. The helper
+// must then leave and give its slot back while loop still runs, and the
+// caller must run the remaining steps alone.
+func TestStepsLaggingHelperLeaves(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var arrived atomic.Int64
+	var total int64
+	Steps(2, func(i int) {
+		// The first step's parts wait for each other, so the helper runs one.
+		if arrived.Add(1) <= 2 {
+			for arrived.Load() < 2 {
+				runtime.Gosched()
+			}
+		}
+		atomic.AddInt64(&total, int64(i+1))
+	}, func(step func()) {
+		if n := slotsTaken.Load(); n != 1 {
+			t.Fatalf("the team holds %d helper slots, want 1", n)
+		}
+		step()
+		runtime.GOMAXPROCS(1)
+		step()
+		deadline := time.Now().Add(5 * time.Second)
+		for slotsTaken.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("the lagging helper did not leave the team")
+			}
+			runtime.Gosched()
+		}
+		for range 10 {
+			step()
+		}
+	})
+	if want := int64(12 * (1 + 2)); total != want {
+		t.Fatalf("parts summed to %d, want %d", total, want)
+	}
+}
+
 // TestForStepsMatchesForChunks pins ForSteps' parts to For's chunks.
 func TestForStepsMatchesForChunks(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 8} {
