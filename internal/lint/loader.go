@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -186,12 +187,23 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		if !e.IsDir() && buildsHere(dir, e.Name()) {
 			return true
 		}
 	}
 	return false
+}
+
+// buildsHere reports whether name in dir is a non-test Go file that go
+// build would compile for the host platform: its file-name suffix and
+// //go:build line are matched as the go command matches them, so a
+// package with per-platform files type-checks as one set.
+func buildsHere(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok && err == nil
 }
 
 // LoadDir parses and type-checks the package in dir (non-test files only).
@@ -228,7 +240,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !buildsHere(dir, name) {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
