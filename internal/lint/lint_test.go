@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -301,6 +302,30 @@ func TestLoaderLoadDir(t *testing.T) {
 	// chained importer.
 	if _, err := l.LoadDir(filepath.Join(l.ModuleDir, "internal", "numeric")); err != nil {
 		t.Fatalf("LoadDir(numeric): %v", err)
+	}
+}
+
+// TestLoaderPlatformFiles loads internal/parallel, which keeps osYield in
+// one file per platform: the loader must take only the file that builds
+// here, as go build does, or the package declares osYield twice.
+func TestLoaderPlatformFiles(t *testing.T) {
+	l := newLoader(t)
+	pkg, err := l.LoadDir(filepath.Join(l.ModuleDir, "internal", "parallel"))
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	want := "yield_other.go"
+	if runtime.GOOS == "linux" {
+		want = "yield_linux.go"
+	}
+	var got []string
+	for _, f := range pkg.Files {
+		if name := filepath.Base(pkg.Fset.File(f.Pos()).Name()); strings.HasPrefix(name, "yield_") {
+			got = append(got, name)
+		}
+	}
+	if len(got) != 1 || got[0] != want {
+		t.Errorf("loaded yield files %v, want [%s]", got, want)
 	}
 }
 

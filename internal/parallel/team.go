@@ -24,11 +24,11 @@ import (
 // the helpers claim the next unclaimed part until none is left, then the
 // caller waits for the parts that others claimed. So a step never waits on
 // a helper that has not started: with more runnable goroutines than
-// cores, the caller runs more of the parts itself. Between steps a helper waits for the next one by spinning on an
-// atomic with runtime.Gosched, so a step costs no channel hand-off and no
-// wake-up of a parked goroutine. The price is that the helpers keep their
-// cores busy while loop runs, which is why a team lives only as long as
-// the step loop of one kernel call.
+// cores, the caller runs more of the parts itself. Between steps a helper
+// waits for the next one by spinning on an atomic (see pause), so a step
+// costs no channel hand-off and no wake-up of a parked goroutine. The
+// price is that the helpers keep their cores busy while loop runs, which
+// is why a team lives only as long as the step loop of one kernel call.
 //
 // A helper that has run a part and then arrives at a step whose parts are
 // all claimed leaves the team: it is not keeping up, because the host or
@@ -122,7 +122,7 @@ func (t *team) step() {
 	t.gen.Add(1)
 	t.claim()
 	for t.done.Load() < t.parts {
-		runtime.Gosched()
+		pause()
 	}
 	if f := t.fault.Swap(nil); f != nil {
 		//lint:ignore bannedcall re-raises on the caller a panic that a part raised on a helper; swallowing it would hand back a half-computed step
@@ -167,7 +167,7 @@ func (t *team) help() {
 			if t.stop.Load() {
 				return
 			}
-			runtime.Gosched()
+			pause()
 			continue
 		}
 		seen = g
@@ -177,6 +177,19 @@ func (t *team) help() {
 		}
 		joined = joined || ran
 	}
+}
+
+// pause is one turn of a team member's wait: it lets the other goroutines
+// of its P run, then the other threads queued on its core. The second
+// matters when the host has fewer free cores than the team has threads,
+// say beside another busy process: the thread a member waits on, the
+// caller that publishes the next step or a helper that holds a part, may
+// then sit on the waiting member's own core, and runtime.Gosched alone
+// would keep that core until the host's scheduler takes it away, a time
+// slice later.
+func pause() {
+	runtime.Gosched()
+	osYield()
 }
 
 // dismiss stops the helpers and waits until they have exited.

@@ -2,6 +2,7 @@ package transient
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -21,7 +22,11 @@ import (
 // the process: "concurrent" runs GOMAXPROCS sweeps at once (RunParallel;
 // ns/op is wall time over all of them), as concurrent csrld requests do,
 // and "beside-spin" runs each sweep while one goroutine keeps a core busy
-// with arithmetic.
+// with arithmetic. "oversubscribed" is beside-spin at GOMAXPROCS
+// NumCPU+1: the busy goroutine, the caller and the team's helpers then
+// run on more threads than the host has cores, as when another process
+// keeps a core busy, so the host's scheduler, not Go's, decides which of
+// them waits.
 func BenchmarkUntilSweep(b *testing.B) {
 	p, err := cluster.Default(60)
 	if err != nil {
@@ -71,7 +76,7 @@ func BenchmarkUntilSweep(b *testing.B) {
 				}
 			})
 		})
-		b.Run(fmt.Sprintf("workers=%d/beside-spin", workers), func(b *testing.B) {
+		besideSpin := func(b *testing.B) {
 			opts.Workers = workers
 			var stop atomic.Bool
 			spun := make(chan float64)
@@ -91,6 +96,11 @@ func BenchmarkUntilSweep(b *testing.B) {
 			b.StopTimer()
 			stop.Store(true)
 			<-spun
+		}
+		b.Run(fmt.Sprintf("workers=%d/beside-spin", workers), besideSpin)
+		b.Run(fmt.Sprintf("workers=%d/oversubscribed", workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU() + 1))
+			besideSpin(b)
 		})
 	}
 }
