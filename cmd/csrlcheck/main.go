@@ -71,7 +71,7 @@ func run(args []string, out io.Writer) (int, error) {
 		epsilon   = fs.Float64("epsilon", 1e-9, "accuracy for uniformisation-based computations")
 		k         = fs.Int("k", 256, "phase count for -algorithm erlang")
 		d         = fs.Float64("d", 0, "step for -algorithm discretise (0 = automatic)")
-		workers   = fs.Int("workers", 0, "worker goroutines for the numerical procedures (0 = all CPUs, 1 = sequential)")
+		workers   = fs.Int("workers", 0, "worker goroutines for the numerical procedures (0 = GOMAXPROCS, 1 = sequential)")
 		states    = fs.Bool("states", false, "list every state with its verdict/value")
 		doLump    = fs.Bool("lump", true, "quotient the model by formula-respecting lumpability before checking (automatic pre-pass)")
 		truncate  = fs.Float64("truncate", 0, "drop states below this mass from the forward transient sweeps; the dropped mass is charged to the error ledger (0 = off). A top-level time-bounded P-until over propositional operands is then checked from the initial states alone: no lump pre-pass, and only the rows the sweep window reaches are read")

@@ -61,7 +61,7 @@ func run(args []string, out io.Writer) (int, error) {
 		epsilon     = fs.Float64("epsilon", 1e-9, "accuracy for uniformisation-based computations")
 		k           = fs.Int("k", 256, "phase count for -algorithm erlang")
 		d           = fs.Float64("d", 0, "step for -algorithm discretise (0 = automatic)")
-		workers     = fs.Int("workers", 0, "worker goroutines for the numerical procedures (0 = all CPUs)")
+		workers     = fs.Int("workers", 0, "worker goroutines for the numerical procedures (0 = GOMAXPROCS)")
 		doLump      = fs.Bool("lump", true, "quotient models by formula-respecting lumpability before checking")
 		truncate    = fs.Float64("truncate", 0, "drop states below this mass from forward transient sweeps (0 = off)")
 		memoCap     = fs.Int("memo-cap", service.DefaultMemoCap, "per-table memo entries per model before LRU eviction")

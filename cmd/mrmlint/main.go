@@ -196,18 +196,12 @@ func ghEscapeProperty(s string) string {
 	return r.Replace(s)
 }
 
-// lintPackages loads every package matched by patterns (relative to dir)
-// and returns the number of findings printed.
-func lintPackages(stdout io.Writer, dir string, patterns []string, analyzers []*lint.Analyzer, emit emitMode) (int, error) {
-	n, _, err := lintPackagesCached(stdout, dir, patterns, analyzers, emit, "")
-	return n, err
-}
-
-// lintPackagesCached is lintPackages with an optional incremental cache:
-// a non-empty cacheDir serves unchanged packages from the store instead
-// of re-analyzing them, and records the analyzed ones. The diagnostic
-// stream on stdout is byte-identical between cold and warm runs; the
-// cold/warm statistics live on the returned cache.
+// lintPackagesCached loads every package matched by patterns (relative to
+// dir), lints it and returns the number of findings printed. A non-empty
+// cacheDir serves unchanged packages from the store instead of
+// re-analyzing them, and records the analyzed ones. The diagnostic stream
+// on stdout is byte-identical between cold and warm runs; the cold/warm
+// statistics live on the returned cache.
 func lintPackagesCached(stdout io.Writer, dir string, patterns []string, analyzers []*lint.Analyzer, emit emitMode, cacheDir string) (int, *lintCache, error) {
 	loader, err := lint.NewLoader(dir)
 	if err != nil {

@@ -84,9 +84,9 @@ func TestModuleIsClean(t *testing.T) {
 		t.Fatalf("loader: %v", err)
 	}
 	var out bytes.Buffer
-	n, err := lintPackages(&out, loader.ModuleDir, []string{"./..."}, lint.All(), emitPlain)
+	n, _, err := lintPackagesCached(&out, loader.ModuleDir, []string{"./..."}, lint.All(), emitPlain, "")
 	if err != nil {
-		t.Fatalf("lintPackages: %v", err)
+		t.Fatalf("lintPackagesCached: %v", err)
 	}
 	if n != 0 {
 		t.Errorf("module has %d lint findings:\n%s", n, out.String())
@@ -98,7 +98,7 @@ func TestLintPackagesNoMatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	if _, err := lintPackages(io.Discard, loader.ModuleDir, []string{"./nosuchdir"}, lint.All(), emitPlain); err == nil {
+	if _, _, err := lintPackagesCached(io.Discard, loader.ModuleDir, []string{"./nosuchdir"}, lint.All(), emitPlain, ""); err == nil {
 		t.Error("nonexistent package pattern did not error")
 	}
 }

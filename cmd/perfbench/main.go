@@ -55,7 +55,7 @@ func run(args []string, w io.Writer) error {
 		paths   = fs.Int("paths", 5, "trajectories for -figure 1")
 		seed    = fs.Int64("seed", 1, "simulation seed")
 		dump    = fs.String("dump-model", "", "write the case-study MRM as JSON to this path and exit")
-		workers = fs.Int("workers", 0, "worker goroutines for the numerical procedures (0 = all CPUs, 1 = sequential)")
+		workers = fs.Int("workers", 0, "worker goroutines for the numerical procedures (0 = GOMAXPROCS, 1 = sequential)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -117,8 +117,8 @@ type Options struct {
 	// deriveStep).
 	DiscretiseStep float64
 	// Workers bounds the parallelism of the numerical procedures:
-	// 0 = runtime.NumCPU(), 1 = sequential. Every procedure's results are
-	// bitwise independent of it.
+	// 0 = runtime.GOMAXPROCS(0), 1 = sequential. Every procedure's results
+	// are bitwise independent of it.
 	Workers int
 	// Lump controls the automatic formula-dependent lumping pre-pass of
 	// the exported entry points (see LumpMode). The zero value is on.

@@ -3,11 +3,11 @@ package crosscheck
 import (
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/performability/csrl/internal/adhoc"
 	"github.com/performability/csrl/internal/erlang"
-	"github.com/performability/csrl/internal/parallel"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/sparse"
 	"github.com/performability/csrl/internal/transient"
@@ -130,19 +130,21 @@ func TestSharedPoolUnderConcurrency(t *testing.T) {
 	serOut := make([]*sericola.Result, reps)
 	trOut := make([][]float64, reps)
 	errs := make([]error, 2*reps)
-	work := make([]func(), 0, 2*reps)
+	var wg sync.WaitGroup
 	for i := 0; i < reps; i++ {
-		i := i
-		work = append(work, func() {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
 			serOut[i], errs[i] = sericola.ReachProbAll(m, goal, tb, rb,
 				sericola.Options{Epsilon: eps, Workers: workers, Pool: pool})
-		})
-		work = append(work, func() {
+		}()
+		go func() {
+			defer wg.Done()
 			trOut[i], errs[reps+i] = transient.ReachProbAll(m, goal, tb,
 				transient.Options{Epsilon: eps, Workers: workers, Pool: pool})
-		})
+		}()
 	}
-	parallel.Do(work...)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)

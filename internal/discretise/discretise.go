@@ -46,9 +46,9 @@ type Options struct {
 	// with max E(s) = 19.5), so reproduction needs this escape hatch.
 	AllowCoarse bool
 	// Workers bounds the parallelism of the recursion's per-state inner
-	// loop and of ReachProbAll's per-source fan-out: 0 = runtime.NumCPU(),
-	// 1 = sequential. The per-state loop writes only state-owned rows, so
-	// results are bitwise independent of Workers.
+	// loop and of ReachProbAll's per-source fan-out:
+	// 0 = runtime.GOMAXPROCS(0), 1 = sequential. The per-state loop writes
+	// only state-owned rows, so results are bitwise independent of Workers.
 	Workers int
 	// Pool, when non-nil, supplies the n·(R+1) recursion grids. Each
 	// worker of the ReachProbAll fan-out checks its grids out at the start
@@ -527,8 +527,8 @@ func ReachProb(m *mrm.MRM, goal *mrm.StateSet, t, r float64, from int, opts Opti
 // opts.Workers, with the source-independent precomputation (validation,
 // rate transpose, reward classification) shared by all of them. Each
 // per-source run is forced sequential (Workers: 1) — the fan-out already
-// saturates the pool, and run-level parallelism keeps the arithmetic of
-// every run identical to the sequential path. Each fan-out worker reuses
+// holds the helper budget, and run-level parallelism keeps the arithmetic
+// of every run identical to the sequential path. Each fan-out worker reuses
 // one scratch grid pair across all sources of its chunk, checked out of
 // opts.Pool inside the chunk, so the fan-out does not allocate n·(R+1)
 // floats per source.

@@ -18,8 +18,8 @@ import (
 // fields) through assignments and derivation helpers (rowCuts and
 // friends), then reports float accumulations inside worker-count-shaped
 // loops whose accumulator outlives the loop, and captured float scalars
-// accumulated inside the task literals of a parallel region (parallel.Do,
-// For, Steps, ForSteps).
+// accumulated inside the task literals of a parallel region (parallel.For,
+// ForSteps, Steps).
 //
 // A deliberate fan-out-dependent reduction is declared with
 //

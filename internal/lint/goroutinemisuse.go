@@ -9,28 +9,29 @@ import (
 )
 
 // Goroutinemisuse flags concurrency patterns that are either racy or that
-// subvert the module's pooled-parallelism design:
+// subvert the module's step-team design:
 //
 //   - raw `go` statements outside internal/parallel — all fan-out must go
-//     through the pool so Workers=1 remains a strict sequential mode and
-//     the caller help-drain protocol is never bypassed;
+//     through For or Steps so Workers=1 remains a strict sequential mode
+//     and every helper comes from the GOMAXPROCS−1 helper budget;
 //   - `wg.Add(...)` inside the spawned function body — the classic race
 //     where the goroutine may not have run Add before the parent's Wait;
 //   - capturing a loop variable in a spawned function under a module go
 //     version below 1.22 (per-iteration loop variables fixed the hazard);
-//   - entering a parallel region (parallel.Do, For, Steps or ForSteps)
+//   - entering a parallel region (parallel.For, ForSteps or Steps)
 //     while holding a mutex — the caller runs tasks too, so any task
 //     that takes the same lock deadlocks;
 //   - nesting a parallel region lexically inside a worker body unless the
-//     inner call forces workers == 1 — the pool is sized to NumCPU and
-//     nested fan-out oversubscribes it.
+//     inner call forces workers == 1 — the outer region's helpers already
+//     hold the helper budget, so the inner one cuts parts that run on the
+//     caller.
 var Goroutinemisuse = &Analyzer{
 	Name: "goroutinemisuse",
 	Doc:  "flags raw go statements, wg.Add in the spawned body, old-Go loop-variable capture, and parallel regions entered under a lock or nested in a worker",
 	Run:  runGoroutinemisuse,
 }
 
-// parallelPkgSuffix identifies the module's pool package; matched by
+// parallelPkgSuffix identifies the module's fan-out package; matched by
 // suffix so the testdata fake package qualifies too.
 const parallelPkgSuffix = "internal/parallel"
 
@@ -42,7 +43,7 @@ func runGoroutinemisuse(pass *Pass) error {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			if !inParallelPkg {
-				pass.ReportNodef(n, "raw go statement outside internal/parallel; use parallel.Do or parallel.For so Workers=1 stays sequential and the pool is not bypassed")
+				pass.ReportNodef(n, "raw go statement outside internal/parallel; use parallel.For or parallel.Steps so Workers=1 stays sequential and the helper budget is not bypassed")
 			}
 			if lit, ok := unparen(n.Call.Fun).(*ast.FuncLit); ok {
 				checkSpawnedBody(pass, lit)
@@ -69,9 +70,9 @@ func runGoroutinemisuse(pass *Pass) error {
 
 // parallelTasks reports whether call enters a parallel region — one of
 // the module's fan-out entry points — and returns the region's name and
-// the arguments that run as its tasks: every argument of parallel.Do, the
-// body of For and ForSteps, the part of Steps. The loop argument of Steps
-// and ForSteps runs on the caller and is not a task.
+// the arguments that run as its tasks: the body of For and ForSteps, the
+// part of Steps. The loop argument of Steps and ForSteps runs on the
+// caller and is not a task.
 func parallelTasks(info *types.Info, call *ast.CallExpr) (name string, tasks []ast.Expr, ok bool) {
 	fn := calleeFunc(info, call)
 	if fn == nil || !pkgPathHasSuffix(fn.Pkg(), parallelPkgSuffix) {
@@ -79,8 +80,6 @@ func parallelTasks(info *types.Info, call *ast.CallExpr) (name string, tasks []a
 	}
 	task := -1
 	switch fn.Name() {
-	case "Do":
-		return fn.Name(), call.Args, true
 	case "For", "ForSteps":
 		task = 2
 	case "Steps":
@@ -146,7 +145,7 @@ func checkNestedRegion(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
 		}
 		for _, arg := range tasks {
 			if unparen(arg) == lit {
-				pass.ReportNodef(call, "parallel region nested inside a worker body oversubscribes the pool; hoist it or force workers=1 on the inner call")
+				pass.ReportNodef(call, "parallel region nested inside a worker body finds the helper budget held by the outer region; hoist it or force workers=1 on the inner call")
 				return
 			}
 		}

@@ -239,19 +239,6 @@ func (m *MRM) Uniformised(lambda float64) (*sparse.CSR, error) {
 	return b.Build()
 }
 
-// Generator returns the infinitesimal generator Q = R - diag(E).
-func (m *MRM) Generator() (*sparse.CSR, error) {
-	d := make([]float64, m.n)
-	for i, e := range m.exit {
-		d[i] = -e
-	}
-	q, err := m.rates.AddDiagonal(d)
-	if err != nil {
-		return nil, fmt.Errorf("mrm: generator: %w", err)
-	}
-	return q, nil
-}
-
 // Builder assembles an MRM incrementally.
 type Builder struct {
 	n       int

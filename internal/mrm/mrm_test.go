@@ -135,22 +135,6 @@ func TestUniformised(t *testing.T) {
 	}
 }
 
-func TestGenerator(t *testing.T) {
-	m := buildTiny(t)
-	q, err := m.Generator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if got := q.RowSum(i); math.Abs(got) > 1e-12 {
-			t.Errorf("generator row %d sums to %v, want 0", i, got)
-		}
-	}
-	if q.At(0, 0) != -3 {
-		t.Errorf("Q(0,0) = %v, want -3", q.At(0, 0))
-	}
-}
-
 func TestMakeAbsorbing(t *testing.T) {
 	m := buildTiny(t)
 	abs, err := m.MakeAbsorbing(NewStateSetOf(3, 0), true)
@@ -224,23 +208,6 @@ func TestReduceForUntilWithFail(t *testing.T) {
 	}
 	if got := red.Model.Rates().At(red.StateMap[0], red.Fail); got != 2 {
 		t.Errorf("rate(0→fail) = %v, want 2", got)
-	}
-}
-
-func TestWithInitialState(t *testing.T) {
-	m := buildTiny(t)
-	m2, err := m.WithInitialState(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.InitialState() != 1 {
-		t.Errorf("new initial state = %d", m2.InitialState())
-	}
-	if m.InitialState() != 0 {
-		t.Error("WithInitialState mutated the original")
-	}
-	if _, err := m.WithInitialState(7); !errors.Is(err, ErrState) {
-		t.Errorf("out of range: err = %v", err)
 	}
 }
 

@@ -184,15 +184,3 @@ func ReduceForUntil(m *MRM, phi, psi *StateSet) (*UntilReduction, error) {
 	}
 	return &UntilReduction{Model: reduced, Goal: goal, Fail: fail, StateMap: stateMap}, nil
 }
-
-// WithInitialState returns a copy of the model whose initial distribution is
-// a point mass on s.
-func (m *MRM) WithInitialState(s int) (*MRM, error) {
-	if s < 0 || s >= m.n {
-		return nil, fmt.Errorf("%w: %d", ErrState, s)
-	}
-	c := *m
-	c.init = make([]float64, m.n)
-	c.init[s] = 1
-	return &c, nil
-}

@@ -1,15 +1,17 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 func TestResolve(t *testing.T) {
-	if got := Resolve(0); got != runtime.NumCPU() {
-		t.Errorf("Resolve(0) = %d, want NumCPU = %d", got, runtime.NumCPU())
+	if got, want := Resolve(0), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Resolve(0) = %d, want GOMAXPROCS = %d", got, want)
 	}
 	if got := Resolve(1); got != 1 {
 		t.Errorf("Resolve(1) = %d, want 1", got)
@@ -20,19 +22,11 @@ func TestResolve(t *testing.T) {
 	if got := Resolve(-3); got != 1 {
 		t.Errorf("Resolve(-3) = %d, want 1", got)
 	}
-}
-
-func TestDoRunsAllTasks(t *testing.T) {
-	for _, count := range []int{0, 1, 2, 3, 17, 100} {
-		var ran int64
-		tasks := make([]func(), count)
-		for i := range tasks {
-			tasks[i] = func() { atomic.AddInt64(&ran, 1) }
-		}
-		Do(tasks...)
-		if ran != int64(count) {
-			t.Errorf("Do with %d tasks ran %d", count, ran)
-		}
+	// With one scheduling core a team has no helper, so Workers 0 cuts
+	// one part whatever the host's core count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Resolve(0); got != 1 {
+		t.Errorf("Resolve(0) = %d at GOMAXPROCS 1, want 1", got)
 	}
 }
 
@@ -57,36 +51,85 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestForChunkingIsDeterministic pins the chunk boundaries of For and of
+// every step of a multi-step ForSteps: they depend only on (workers, n).
 func TestForChunkingIsDeterministic(t *testing.T) {
-	// The chunk boundaries must depend only on (workers, n): collect them
-	// twice and compare as sets.
-	collect := func() map[[2]int]bool {
-		var mu sync.Mutex
-		chunks := make(map[[2]int]bool)
-		For(4, 103, func(lo, hi int) {
-			mu.Lock()
-			chunks[[2]int{lo, hi}] = true
-			mu.Unlock()
-		})
-		return chunks
+	cases := []struct {
+		workers, n int
+		want       [][2]int
+	}{
+		{4, 103, [][2]int{{0, 26}, {26, 52}, {52, 78}, {78, 103}}},
+		{4, 9, [][2]int{{0, 3}, {3, 6}, {6, 9}}},
+		{3, 7, [][2]int{{0, 3}, {3, 6}, {6, 7}}},
+		{8, 3, [][2]int{{0, 1}, {1, 2}, {2, 3}}},
+		{1, 5, [][2]int{{0, 5}}},
+		{-2, 5, [][2]int{{0, 5}}},
+		{4, 0, nil},
 	}
-	a, b := collect(), collect()
-	if len(a) != len(b) {
-		t.Fatalf("chunk count differs between runs: %d vs %d", len(a), len(b))
+	var mu sync.Mutex
+	var got [][2]int
+	record := func(lo, hi int) {
+		mu.Lock()
+		got = append(got, [2]int{lo, hi})
+		mu.Unlock()
 	}
-	for c := range a {
-		if !b[c] {
-			t.Fatalf("chunk %v missing from second run", c)
+	sorted := func() [][2]int {
+		slices.SortFunc(got, func(a, b [2]int) int { return a[0] - b[0] })
+		return got
+	}
+	for _, c := range cases {
+		got = nil
+		For(c.workers, c.n, record)
+		if s := sorted(); !slices.Equal(s, c.want) {
+			t.Errorf("For(%d, %d) chunks %v, want %v", c.workers, c.n, s, c.want)
 		}
+		ForSteps(c.workers, c.n, record, func(step func()) {
+			for s := 0; s < 3; s++ {
+				got = nil
+				step()
+				if g := sorted(); !slices.Equal(g, c.want) {
+					t.Errorf("ForSteps(%d, %d) step %d chunks %v, want %v", c.workers, c.n, s, g, c.want)
+				}
+			}
+		})
+	}
+}
+
+// TestForHelpersExit pins For's lifetime: no helper outlives the call,
+// whether every chunk returns or one panics, and a chunk's panic reaches
+// For's caller whichever goroutine ran the chunk.
+func TestForHelpersExit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const chunk = 64
+	for bad := -1; bad < 4; bad++ {
+		base := runtime.NumGoroutine()
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			For(4, 4*chunk, func(lo, hi int) {
+				if lo/chunk == bad {
+					panic(fmt.Sprint("chunk ", bad))
+				}
+			})
+		}()
+		var want any
+		if bad >= 0 {
+			want = fmt.Sprint("chunk ", bad)
+		}
+		if got != want {
+			t.Fatalf("recovered %v, want %v", got, want)
+		}
+		goroutinesSettle(t, base)
 	}
 }
 
 func TestNestedForDoesNotDeadlock(t *testing.T) {
-	// Oversubscribe deliberately: each outer chunk spawns an inner For.
-	// With a blocking pool this would deadlock once all workers are
-	// parked in inner waits; the help-drain submit policy must not.
+	// Oversubscribe deliberately: each outer chunk enters an inner For
+	// while the outer team holds the helper budget. An inner team that
+	// finds no free slot runs its parts on its caller, so nothing waits
+	// on a helper that cannot start.
 	var total int64
-	outer := 4 * runtime.NumCPU()
+	outer := 4 * runtime.GOMAXPROCS(0)
 	For(0, outer, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			For(0, 100, func(ilo, ihi int) {
@@ -99,24 +142,10 @@ func TestNestedForDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-func TestDoSaturation(t *testing.T) {
-	// Far more tasks than queue capacity: the non-blocking submit must
-	// fall back to inline execution and still run everything.
-	const tasks = 10000
-	var ran int64
-	fns := make([]func(), tasks)
-	for i := range fns {
-		fns[i] = func() { atomic.AddInt64(&ran, 1) }
-	}
-	Do(fns...)
-	if ran != tasks {
-		t.Fatalf("saturated Do ran %d of %d tasks", ran, tasks)
-	}
-}
-
 func TestConcurrentDoCallers(t *testing.T) {
-	// Many goroutines using the pool at once (as ReachProbAll's fan-out
-	// plus nested kernels will); mostly a -race exercise.
+	// Many goroutines entering For at once (as ReachProbAll's fan-out
+	// beside other kernels will), sharing the helper budget; mostly a
+	// -race exercise.
 	var wg sync.WaitGroup
 	var total int64
 	for g := 0; g < 8; g++ {
@@ -131,17 +160,5 @@ func TestConcurrentDoCallers(t *testing.T) {
 	wg.Wait()
 	if total != 8*500 {
 		t.Fatalf("concurrent callers covered %d indices, want %d", total, 8*500)
-	}
-}
-
-func TestChunkCountMetersMultiTaskDo(t *testing.T) {
-	before := ChunkCount()
-	Do(func() {}) // single task runs inline, not a parallel chunk
-	if got := ChunkCount(); got != before {
-		t.Errorf("single-task Do counted as chunks: %d -> %d", before, got)
-	}
-	Do(func() {}, func() {}, func() {})
-	if got := ChunkCount(); got != before+3 {
-		t.Errorf("ChunkCount = %d after 3-task Do, want %d", got, before+3)
 	}
 }

@@ -83,8 +83,8 @@ func takeSlots(want int) int {
 }
 
 // ForSteps is Steps over For's chunks: each step calls fn(lo, hi) for the
-// chunks that For(workers, n, fn) makes, so a kernel that called For once
-// per step computes the same bits from one team.
+// chunks of [0, n) that chunking(workers, n) cuts, the same in every step
+// and for every For(workers, n, fn).
 func ForSteps(workers, n int, fn func(lo, hi int), loop func(step func())) {
 	size, parts := chunking(workers, n)
 	Steps(parts, func(c int) {

@@ -261,7 +261,8 @@ func TestStepsLaggingHelperLeaves(t *testing.T) {
 	}
 }
 
-// TestForStepsMatchesForChunks pins ForSteps' parts to For's chunks.
+// TestForStepsMatchesForChunks pins ForSteps' parts, on every step of a
+// loop, to For's chunks.
 func TestForStepsMatchesForChunks(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 8} {
 		for _, n := range []int{0, 1, 2, 7, 103} {
@@ -273,18 +274,22 @@ func TestForStepsMatchesForChunks(t *testing.T) {
 				want[c] = true
 			}
 			got := make(chan [2]int, n+1)
-			ForSteps(workers, n, func(lo, hi int) { got <- [2]int{lo, hi} }, func(step func()) { step() })
-			close(got)
-			count := 0
-			for c := range got {
-				count++
-				if !want[c] {
-					t.Fatalf("workers=%d n=%d: ForSteps chunk %v is not a For chunk", workers, n, c)
+			ForSteps(workers, n, func(lo, hi int) { got <- [2]int{lo, hi} }, func(step func()) {
+				for s := 0; s < 3; s++ {
+					step()
+					count := 0
+					for len(got) > 0 {
+						c := <-got
+						count++
+						if !want[c] {
+							t.Fatalf("workers=%d n=%d step %d: ForSteps chunk %v is not a For chunk", workers, n, s, c)
+						}
+					}
+					if count != len(want) {
+						t.Fatalf("workers=%d n=%d step %d: %d ForSteps chunks, %d For chunks", workers, n, s, count, len(want))
+					}
 				}
-			}
-			if count != len(want) {
-				t.Fatalf("workers=%d n=%d: %d ForSteps chunks, %d For chunks", workers, n, count, len(want))
-			}
+			})
 		}
 	}
 }
@@ -301,5 +306,13 @@ func TestChunkCountMetersTeamSteps(t *testing.T) {
 	})
 	if got := ChunkCount(); got != before+6 {
 		t.Errorf("ChunkCount = %d after two 3-part steps, want %d", got, before+6)
+	}
+	For(1, 9, func(int, int) {}) // one chunk, inline
+	if got := ChunkCount(); got != before+6 {
+		t.Errorf("one-chunk For counted as chunks: %d -> %d", before+6, got)
+	}
+	For(3, 9, func(int, int) {})
+	if got := ChunkCount(); got != before+9 {
+		t.Errorf("ChunkCount = %d after a 3-chunk For, want %d", got, before+9)
 	}
 }

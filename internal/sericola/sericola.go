@@ -44,9 +44,9 @@ type Options struct {
 	// Lambda overrides the uniformisation rate (0 = automatic).
 	Lambda float64
 	// Workers bounds the parallelism of the per-level row sweeps:
-	// 0 = runtime.NumCPU(), 1 = sequential. The recursion is partitioned
-	// by matrix row, and every row's arithmetic runs in the sequential
-	// order, so results are bitwise independent of Workers.
+	// 0 = runtime.GOMAXPROCS(0), 1 = sequential. The recursion is
+	// partitioned by matrix row, and every row's arithmetic runs in the
+	// sequential order, so results are bitwise independent of Workers.
 	Workers int
 	// FullWidth forces the recursion to carry all n columns instead of only
 	// the g goal columns. The sliced default performs the identical

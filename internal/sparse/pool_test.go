@@ -2,9 +2,8 @@ package sparse
 
 import (
 	"math"
+	"sync"
 	"testing"
-
-	"github.com/performability/csrl/internal/parallel"
 )
 
 func TestVecPoolRecyclesAndZeroes(t *testing.T) {
@@ -83,10 +82,11 @@ func TestVecPoolConcurrent(t *testing.T) {
 	p := NewVecPool()
 	const tasks = 8
 	errs := make([]error, tasks)
-	work := make([]func(), tasks)
+	var wg sync.WaitGroup
 	for i := 0; i < tasks; i++ {
-		i := i
-		work[i] = func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			for rep := 0; rep < 200; rep++ {
 				v := p.Get(16)
 				stamp := float64(i*1000 + rep)
@@ -101,9 +101,9 @@ func TestVecPoolConcurrent(t *testing.T) {
 				}
 				p.Put(v)
 			}
-		}
+		}()
 	}
-	parallel.Do(work...)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)

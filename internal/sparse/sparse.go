@@ -181,24 +181,6 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// AddDiagonal returns a new matrix M + diag(d). Diagonal entries that are
-// not yet present in the pattern are inserted.
-func (m *CSR) AddDiagonal(d []float64) (*CSR, error) {
-	if len(d) != m.n {
-		return nil, fmt.Errorf("%w: diagonal length %d for %d×%d matrix", ErrDimension, len(d), m.n, m.n)
-	}
-	ts := make([]Triplet, 0, m.NNZ()+m.n)
-	m.Each(func(i, j int, v float64) {
-		ts = append(ts, Triplet{Row: i, Col: j, Val: v})
-	})
-	for i, v := range d {
-		if v != 0 {
-			ts = append(ts, Triplet{Row: i, Col: i, Val: v})
-		}
-	}
-	return NewFromTriplets(m.n, ts)
-}
-
 // String renders small matrices for debugging; large matrices are summarised.
 func (m *CSR) String() string {
 	if m.n > 12 {

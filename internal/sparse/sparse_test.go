@@ -154,17 +154,6 @@ func TestMulVecTMatchesTransposeMulVec(t *testing.T) {
 	}
 }
 
-func TestAddDiagonal(t *testing.T) {
-	m := mustCSR(t, 2, []Triplet{{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: 2}})
-	d, err := m.AddDiagonal([]float64{-1, 5})
-	if err != nil {
-		t.Fatalf("AddDiagonal: %v", err)
-	}
-	if d.At(0, 0) != 0 || d.At(1, 1) != 5 || d.At(0, 1) != 2 {
-		t.Errorf("AddDiagonal result wrong: %v", d)
-	}
-}
-
 func TestRowIterationAndSums(t *testing.T) {
 	m := mustCSR(t, 3, []Triplet{
 		{Row: 1, Col: 0, Val: 1}, {Row: 1, Col: 2, Val: 2.5},

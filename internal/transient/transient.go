@@ -68,9 +68,9 @@ type Options struct {
 	// MRM.UniformisationRate automatically.
 	Lambda float64
 	// Workers bounds the parallelism of the backward sweeps' matrix
-	// products: 0 = runtime.NumCPU(), 1 = sequential. Results are bitwise
-	// identical at every value. The forward sweep runs sequentially and
-	// ignores it.
+	// products: 0 = runtime.GOMAXPROCS(0), 1 = sequential. Results are
+	// bitwise identical at every value. The forward sweep runs sequentially
+	// and ignores it.
 	Workers int
 	// Truncate, when positive, turns on truncation in the forward sweep:
 	// after each uniformisation step, active states whose probability mass

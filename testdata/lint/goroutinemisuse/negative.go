@@ -1,4 +1,4 @@
-// Negative cases for the goroutinemisuse analyzer: pooled fan-out,
+// Negative cases for the goroutinemisuse analyzer: fan-out through For,
 // Add-before-spawn, inner regions forced sequential, locks released before
 // the region, and an explicitly suppressed raw goroutine.
 package fake
@@ -9,7 +9,7 @@ import (
 	"github.com/performability/csrl/internal/parallel"
 )
 
-func pooled(xs []float64) {
+func fannedOut(xs []float64) {
 	parallel.For(0, len(xs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			xs[i] *= 2
@@ -20,14 +20,10 @@ func pooled(xs []float64) {
 func addBefore(n int, work func()) {
 	var wg sync.WaitGroup
 	wg.Add(n)
-	tasks := make([]func(), n)
-	for i := range tasks {
-		tasks[i] = func() {
-			defer wg.Done()
-			work()
-		}
-	}
-	parallel.Do(tasks...)
+	parallel.Steps(n, func(int) {
+		defer wg.Done()
+		work()
+	}, func(step func()) { step() })
 	wg.Wait()
 }
 

@@ -39,7 +39,7 @@ func underLock(xs []float64) {
 
 func nested(xs []float64) {
 	parallel.For(0, len(xs), func(lo, hi int) {
-		parallel.Do(func() {}) // want "nested inside a worker body"
+		parallel.For(0, hi-lo, func(int, int) {}) // want "nested inside a worker body"
 	})
 }
 
