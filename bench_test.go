@@ -24,6 +24,7 @@ import (
 	"github.com/performability/csrl/internal/lump"
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/numeric"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/sim"
 	"github.com/performability/csrl/internal/srn"
@@ -290,16 +291,16 @@ func BenchmarkParallelWorkers(b *testing.B) {
 	}{
 		{"sericola", func(workers int) error {
 			_, err := sericola.ReachProbAll(m, goal, adhoc.Q3TimeBound, adhoc.Q3PaperRewardBound,
-				sericola.Options{Epsilon: 1e-6, Lambda: adhoc.PaperLambda, Workers: workers})
+				sericola.Options{Epsilon: 1e-6, Lambda: adhoc.PaperLambda, Env: runenv.Env{Workers: workers}})
 			return err
 		}},
 		{"erlang", func(workers int) error {
 			_, err := erlang.ReachProbAll(m, goal, adhoc.Q3TimeBound, adhoc.Q3PaperRewardBound,
-				erlang.Options{K: 256, Transient: transient.Options{Epsilon: 1e-12, Workers: workers}})
+				erlang.Options{K: 256, Transient: transient.Options{Epsilon: 1e-12, Env: runenv.Env{Workers: workers}}})
 			return err
 		}},
 		{"discretise", func(workers int) error {
-			_, err := discretise.ReachProbAll(m, goal, 6, 150, discretise.Options{D: 1.0 / 32, Workers: workers})
+			_, err := discretise.ReachProbAll(m, goal, 6, 150, discretise.Options{D: 1.0 / 32, Env: runenv.Env{Workers: workers}})
 			return err
 		}},
 	} {

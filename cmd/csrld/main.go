@@ -63,7 +63,7 @@ func run(args []string, out io.Writer) (int, error) {
 		d           = fs.Float64("d", 0, "step for -algorithm discretise (0 = automatic)")
 		workers     = fs.Int("workers", 0, "worker goroutines for the numerical procedures (0 = GOMAXPROCS)")
 		doLump      = fs.Bool("lump", true, "quotient models by formula-respecting lumpability before checking")
-		truncate    = fs.Float64("truncate", 0, "drop states below this mass from forward transient sweeps (0 = off)")
+		truncate    = fs.Float64("truncate", 0, "drop states below this mass from forward transient sweeps (0 = off); a bounded formula's holds verdict still comes from the satisfaction set the response counts")
 		memoCap     = fs.Int("memo-cap", service.DefaultMemoCap, "per-table memo entries per model before LRU eviction")
 		batchWindow = fs.Duration("batch-window", service.DefaultBatchWindow, "admission window for coalescing concurrent queries (negative = off)")
 		maxModels   = fs.Int("max-models", service.DefaultMaxModels, "registry capacity")
@@ -101,6 +101,7 @@ func run(args []string, out io.Writer) (int, error) {
 	opts.DiscretiseStep = *d
 	opts.Workers = *workers
 	opts.Truncate = *truncate
+	opts.MemoCap = *memoCap
 	if !*doLump {
 		opts.Lump = core.LumpOff
 	}
@@ -117,7 +118,6 @@ func run(args []string, out io.Writer) (int, error) {
 
 	svcOpts := service.Options{
 		Checker:     opts,
-		MemoCap:     *memoCap,
 		BatchWindow: *batchWindow,
 		MaxModels:   *maxModels,
 	}

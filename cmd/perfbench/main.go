@@ -30,6 +30,7 @@ import (
 	"github.com/performability/csrl/internal/logic"
 	"github.com/performability/csrl/internal/modelfile"
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/sim"
 	"github.com/performability/csrl/internal/srn"
@@ -174,7 +175,7 @@ func table2(w io.Writer, m *mrm.MRM, goal *mrm.StateSet, init int, tb, rb float6
 	fmt.Fprintf(w, "  %-8s %-5s %-14s %s\n", "eps", "N", "value", "time")
 	for _, eps := range []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8} {
 		start := time.Now()
-		res, err := sericola.ReachProbAll(m, goal, tb, rb, sericola.Options{Epsilon: eps, Lambda: adhoc.PaperLambda, Workers: workers})
+		res, err := sericola.ReachProbAll(m, goal, tb, rb, sericola.Options{Epsilon: eps, Lambda: adhoc.PaperLambda, Env: runenv.Env{Workers: workers}})
 		if err != nil {
 			return err
 		}
@@ -195,7 +196,7 @@ func table3(w io.Writer, m *mrm.MRM, goal *mrm.StateSet, init int, tb, rb float6
 	fmt.Fprintf(w, "  %-6s %-14s %-10s %s\n", "k", "value", "rel.err", "time")
 	for k := 1; k <= 1024; k *= 2 {
 		start := time.Now()
-		opts := erlang.Options{K: k, Transient: transient.Options{Epsilon: 1e-12, Workers: workers}}
+		opts := erlang.Options{K: k, Transient: transient.Options{Epsilon: 1e-12, Env: runenv.Env{Workers: workers}}}
 		vals, err := erlang.ReachProbAll(m, goal, tb, rb, opts)
 		if err != nil {
 			return err
@@ -220,7 +221,7 @@ func table4(w io.Writer, m *mrm.MRM, goal *mrm.StateSet, init int, tb, rb float6
 		v, err := discretise.ReachProb(m, goal, tb, rb, init, discretise.Options{
 			D:           1 / float64(den),
 			AllowCoarse: den < 20, // the paper's first row exceeds 1/max E(s)
-			Workers:     workers,
+			Env:         runenv.Env{Workers: workers},
 		})
 		if err != nil {
 			return err

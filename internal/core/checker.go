@@ -32,6 +32,7 @@ import (
 	"github.com/performability/csrl/internal/numeric"
 	"github.com/performability/csrl/internal/obs"
 	"github.com/performability/csrl/internal/parallel"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/sparse"
 	"github.com/performability/csrl/internal/steady"
@@ -116,9 +117,8 @@ type Options struct {
 	// from the bounds t, r and the model's maximal exit rate (see
 	// deriveStep).
 	DiscretiseStep float64
-	// Workers bounds the parallelism of the numerical procedures:
-	// 0 = runtime.GOMAXPROCS(0), 1 = sequential. Every procedure's results
-	// are bitwise independent of it.
+	// Workers is runenv.Env's Workers for every procedure the checker
+	// runs.
 	Workers int
 	// Lump controls the automatic formula-dependent lumping pre-pass of
 	// the exported entry points (see LumpMode). The zero value is on.
@@ -139,12 +139,8 @@ type Options struct {
 	// NaN — leaves truncation off and keeps every result bitwise
 	// unchanged.
 	Truncate float64
-	// Obs, when non-nil, collects the numerics-observability signals of
-	// every procedure the checker runs: the error-budget ledger (Fox–Glynn
-	// truncation masses, steady-detection tail charges, Sericola series
-	// remainders, indicative scheme terms), counters, gauges and phase
-	// spans. Read the aggregate with Checker.NumericsReport; nil (the
-	// default) reduces the instrumentation to pointer comparisons.
+	// Obs is runenv.Env's Obs for every procedure the checker runs. Read
+	// the aggregate with Checker.NumericsReport.
 	Obs *obs.Recorder
 }
 
@@ -185,12 +181,12 @@ type Checker struct {
 	// untilRectangle. All memo methods tolerate a nil receiver, so a
 	// zero Checker literal degrades to uncached computation.
 	memo *memo
-	// pool recycles the scratch vectors, Sericola matrix banks and
-	// discretisation grids of the numerical procedures across calls — in
-	// particular across the four corner evaluations of untilRectangle.
-	// VecPool is nil-receiver-safe, so a zero Checker literal degrades to
-	// plain allocation.
-	pool *sparse.VecPool
+	// env is the run environment every procedure gets whole: the
+	// options' Workers and Obs and the checker's own pool, which recycles
+	// scratch across calls, in particular across the four corner
+	// evaluations of untilRectangle. Its zero value (a zero Checker
+	// literal) runs unpooled and unobserved.
+	env runenv.Env
 }
 
 // New creates a checker for the given model.
@@ -204,7 +200,8 @@ func New(m *mrm.MRM, opts Options) *Checker {
 	if opts.ErlangK <= 0 {
 		opts.ErlangK = 256
 	}
-	return &Checker{m: m, opts: opts, memo: newMemo(opts.MemoCap), pool: sparse.NewVecPool()}
+	env := runenv.Env{Workers: opts.Workers, Pool: sparse.NewVecPool(), Obs: opts.Obs}
+	return &Checker{m: m, opts: opts, memo: newMemo(opts.MemoCap), env: env}
 }
 
 // Model returns the checker's model.
@@ -224,7 +221,7 @@ func (c *Checker) Epsilon() float64 { return c.opts.Epsilon }
 // obtain an unobserved view.
 func (c *Checker) WithRecorder(r *obs.Recorder) *Checker {
 	cc := *c
-	cc.opts.Obs = r
+	cc.env.Obs = r
 	return &cc
 }
 
@@ -235,13 +232,14 @@ func (c *Checker) WithRecorder(r *obs.Recorder) *Checker {
 // reuses a quotient) are.
 func (c *Checker) MemoStats() MemoStats { return c.memo.stats() }
 
-// NumericsReport folds the memo and pool statistics into the configured
-// recorder and returns the aggregate numerics report: the merged
-// error-budget ledger checked against Options.Epsilon, plus every counter,
-// gauge and span recorded since the last Reset. It returns nil when no
-// recorder is configured (Options.Obs == nil).
+// NumericsReport folds the memo and pool statistics into the checker's
+// recorder (Options.Obs, or the one a WithRecorder view carries) and
+// returns the aggregate numerics report: the merged error-budget ledger
+// checked against Options.Epsilon, plus every counter, gauge and span
+// recorded since the last Reset. It returns nil when there is no
+// recorder.
 func (c *Checker) NumericsReport() *obs.Report {
-	r := c.opts.Obs
+	r := c.env.Obs
 	if r == nil {
 		return nil
 	}
@@ -250,7 +248,7 @@ func (c *Checker) NumericsReport() *obs.Report {
 	r.Gauge("memo.misses").Set(float64(ms.Misses))
 	r.Gauge("memo.evictions").Set(float64(ms.Evictions))
 	r.Gauge("memo.entries").Set(float64(ms.Entries))
-	ps := c.pool.Stats()
+	ps := c.env.Pool.Stats()
 	r.Gauge("pool.gets").Set(float64(ps.Gets))
 	r.Gauge("pool.reuses").Set(float64(ps.Reuses))
 	r.Gauge("pool.alloc_bytes").Set(float64(ps.AllocBytes))
@@ -340,7 +338,7 @@ func (c *Checker) sat(f logic.StateFormula) (*mrm.StateSet, error) {
 				set.Add(s)
 			}
 		}
-		c.pool.Put(probs)
+		c.env.Pool.Put(probs)
 		return set, nil
 	case logic.Steady:
 		if t.Query {
@@ -356,7 +354,7 @@ func (c *Checker) sat(f logic.StateFormula) (*mrm.StateSet, error) {
 				set.Add(s)
 			}
 		}
-		c.pool.Put(probs)
+		c.env.Pool.Put(probs)
 		return set, nil
 	default:
 		return nil, fmt.Errorf("core: unknown state formula %T", f)
@@ -374,52 +372,60 @@ func (c *Checker) Check(f logic.StateFormula) (bool, error) {
 }
 
 // check is the body of Check on this checker's own model. With truncation
-// configured it first tries the initial-state fast path, which answers a
-// top-level time-bounded P-until from the initial states alone by forward
-// sweeps — without computing the satisfaction set of the whole space.
+// configured, a top-level bounded P▷◁b[Φ U^[0,t] Ψ] (reward unbounded) is
+// answered by the initial-state fast path (eachInitial), stopping at the
+// first initial state that fails, without computing the satisfaction set
+// of the whole space.
 func (c *Checker) check(f logic.StateFormula) (bool, error) {
-	holds, ok, err := c.checkInitFast(f)
-	if err != nil {
-		return false, err
-	}
-	if ok {
+	if p, u, ok := c.initFastShape(f); ok && !p.Query {
+		holds := true
+		err := c.eachInitial(p, u, func(_, pr float64) bool {
+			holds = p.Op.Compare(pr, p.Bound)
+			return holds
+		})
+		if err != nil {
+			return false, err
+		}
 		return holds, nil
 	}
-	span := c.opts.Obs.StartSpan("core.sat")
+	span := c.env.Obs.StartSpan("core.sat")
 	sat, err := c.sat(f)
 	span.End()
 	if err != nil {
 		return false, err
 	}
-	for s, p := range c.m.InitView() {
-		if p > 0 && !sat.Contains(s) {
-			return false, nil
-		}
-	}
-	return true, nil
+	return HoldsInitially(c.m, sat.Contains), nil
 }
 
-// checkInitFast answers Check for a top-level P▷◁b[Φ U^[0,t] Ψ] (reward
-// unbounded) when Options.Truncate is on: instead of one backward sweep
-// producing Pr_s(φ) for all n start states, it runs one truncated forward
-// sweep per positive-mass initial state via transient.TimeBoundedUntilFrom.
-// A forward iterate is a sub-distribution, which is what makes truncation
+// HoldsInitially reports whether every state of m with positive initial
+// probability satisfies in: Check's verdict for a bounded formula whose
+// per-state verdict is in, such as the Contains of its satisfaction set.
+func HoldsInitially(m *mrm.MRM, in func(s int) bool) bool {
+	for s, alpha := range m.InitView() {
+		if alpha > 0 && !in(s) {
+			return false
+		}
+	}
+	return true
+}
+
+// eachInitial is the truncated forward fast path for P over
+// Φ U^[0,t] Ψ (reward unbounded) of the shape initFastShape admits:
+// instead of one backward sweep producing Pr_s(φ) for all n start states,
+// it runs one truncated forward sweep per positive-mass initial state via
+// transient.TimeBoundedUntilFrom, in state order, and hands each state's
+// α and Pr (P's complement applied) to each until it returns false. A
+// forward iterate is a sub-distribution, which is what makes truncation
 // sound — and on models whose mass stays near the initial states, the
 // active window makes the sweep cost proportional to the window, not to n.
-// ok reports whether the fast path applied; when false, the caller falls
-// back to the satisfaction-set route.
-func (c *Checker) checkInitFast(f logic.StateFormula) (holds, ok bool, err error) {
-	p, u, ok := c.initFastShape(f)
-	if !ok || p.Query {
-		return false, false, nil
-	}
+func (c *Checker) eachInitial(p logic.Prob, u logic.Until, each func(alpha, pr float64) bool) error {
 	phi, err := c.sat(u.Left)
 	if err != nil {
-		return false, false, err
+		return err
 	}
 	psi, err := c.sat(u.Right)
 	if err != nil {
-		return false, false, err
+		return err
 	}
 	for s, alpha := range c.m.InitView() {
 		if alpha <= 0 {
@@ -427,23 +433,23 @@ func (c *Checker) checkInitFast(f logic.StateFormula) (holds, ok bool, err error
 		}
 		pr, err := transient.TimeBoundedUntilFrom(c.m, phi, psi, s, u.Time.Hi, c.transientOpts())
 		if err != nil {
-			return false, false, err
+			return err
 		}
 		if p.Complement {
 			pr = 1 - pr
 		}
-		if !p.Op.Compare(pr, p.Bound) {
-			return false, true, nil
+		if !each(alpha, pr) {
+			return nil
 		}
 	}
-	return true, true, nil
+	return nil
 }
 
 // initFastShape reports whether f is eligible for the truncated forward
-// fast paths (checkInitFast, QueryInitial): truncation must be on and f a
-// top-level P-formula over a time-bounded, reward-unbounded until whose
-// time interval starts at zero — the shape TimeBoundedUntilFrom computes
-// by forward sweeps over the active window.
+// fast path (eachInitial) of check and queryInitial: truncation must be
+// on and f a top-level P-formula over a time-bounded, reward-unbounded
+// until whose time interval starts at zero — the shape
+// TimeBoundedUntilFrom computes by forward sweeps over the active window.
 func (c *Checker) initFastShape(f logic.StateFormula) (logic.Prob, logic.Until, bool) {
 	if !(c.opts.Truncate > 0) {
 		return logic.Prob{}, logic.Until{}, false
@@ -525,27 +531,13 @@ func (c *Checker) queryInitial(f logic.StateFormula) (float64, bool, error) {
 	if !ok {
 		return 0, false, nil
 	}
-	phi, err := c.sat(u.Left)
-	if err != nil {
-		return 0, false, err
-	}
-	psi, err := c.sat(u.Right)
-	if err != nil {
-		return 0, false, err
-	}
 	var total float64
-	for s, alpha := range c.m.InitView() {
-		if alpha <= 0 {
-			continue
-		}
-		pr, err := transient.TimeBoundedUntilFrom(c.m, phi, psi, s, u.Time.Hi, c.transientOpts())
-		if err != nil {
-			return 0, false, err
-		}
-		if p.Complement {
-			pr = 1 - pr
-		}
+	err := c.eachInitial(p, u, func(alpha, pr float64) bool {
 		total += alpha * pr
+		return true
+	})
+	if err != nil {
+		return 0, false, err
 	}
 	return total, true, nil
 }
@@ -675,7 +667,7 @@ func (c *Checker) liftOut(lr *lump.Result, vals []float64) []float64 {
 		out = make([]float64, len(vals))
 		copy(out, vals)
 	}
-	c.pool.Put(vals)
+	c.env.Pool.Put(vals)
 	return out
 }
 
@@ -727,7 +719,7 @@ func (c *Checker) prePass(atoms []string, skip bool) (*Checker, *lump.Result) {
 		cc.opts.Lump = LumpOff
 		return &cc, nil
 	}
-	return entry.checker(c.opts.Obs), entry.res
+	return entry.checker(c.env.Obs), entry.res
 }
 
 // reducedFor returns the lumped Theorem-1 view of Φ U Ψ, given
@@ -764,7 +756,7 @@ func (c *Checker) reducedFor(phi, psi *mrm.StateSet) (*Checker, *lumpEntry) {
 	if entry.sub == nil {
 		return nil, nil
 	}
-	return entry.checker(c.opts.Obs), entry
+	return entry.checker(c.env.Obs), entry
 }
 
 // blockSet returns the blocks whose first state is in set. The view's
@@ -785,11 +777,11 @@ func blockSet(res *lump.Result, set *mrm.StateSet) *mrm.StateSet {
 // this checker's states in a buffer from c's pool, and gives the quotient
 // vector back.
 func (c *Checker) lift(e *lumpEntry, q *Checker, vals []float64) []float64 {
-	out := c.pool.Get(c.m.N())
+	out := c.env.Pool.Get(c.m.N())
 	for s, b := range e.res.BlockOf {
 		out[s] = vals[b]
 	}
-	q.pool.Put(vals)
+	q.env.Pool.Put(vals)
 	return out
 }
 
@@ -799,35 +791,30 @@ func (c *Checker) lift(e *lumpEntry, q *Checker, vals []float64) []float64 {
 // blocks, where the indirection would cost without saving. Both declines
 // are safe: the formula is simply checked on the full model.
 func (c *Checker) buildLump(trivialAt int, quotient func() (*lump.Result, error)) *lumpEntry {
-	span := c.opts.Obs.StartSpan("core.lump")
+	span := c.env.Obs.StartSpan("core.lump")
 	res, err := quotient()
 	span.End()
 	if err != nil {
-		if c.opts.Obs != nil {
-			c.opts.Obs.Counter("lump.declined").Inc()
+		if c.env.Obs != nil {
+			c.env.Obs.Counter("lump.declined").Inc()
 		}
 		return &lumpEntry{}
 	}
-	if c.opts.Obs != nil {
-		c.opts.Obs.Gauge("lump.states").SetMax(float64(c.m.N()))
-		c.opts.Obs.Gauge("lump.blocks").SetMax(float64(res.Model.N()))
+	if c.env.Obs != nil {
+		c.env.Obs.Gauge("lump.states").SetMax(float64(c.m.N()))
+		c.env.Obs.Gauge("lump.blocks").SetMax(float64(res.Model.N()))
 	}
 	if res.Model.N() >= trivialAt {
-		if c.opts.Obs != nil {
-			c.opts.Obs.Counter("lump.trivial").Inc()
+		if c.env.Obs != nil {
+			c.env.Obs.Counter("lump.trivial").Inc()
 		}
 		return &lumpEntry{}
 	}
-	subOpts := c.opts
 	// The cached entry outlives this request: a baked-in recorder would
 	// funnel every later request's charges into the builder's ledger, so
 	// the sub-checker is stored recorder-free and lumpEntry.checker grafts
 	// the caller's recorder on per use.
-	subOpts.Obs = nil
-	// The query has partitioned the model; the quotient is not lumped
-	// again.
-	subOpts.Lump = LumpOff
-	sub := New(res.Model, subOpts)
+	sub := c.derive(res.Model, nil)
 	return &lumpEntry{res: res, sub: sub}
 }
 
@@ -932,13 +919,7 @@ func (c *Checker) probUntil(u logic.Until) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
-		// New (not a struct literal) so the dual checker gets its own
-		// memo — cache entries are keyed to the dual model. The dual model
-		// is not lumped: the query has partitioned the model already.
-		dualOpts := c.opts
-		dualOpts.Lump = LumpOff
-		dual := New(d, dualOpts)
-		return dual.untilTimeInterval(phi, psi, u.Reward)
+		return c.derive(d, c.env.Obs).untilTimeInterval(phi, psi, u.Reward)
 	default:
 		if u.Time.StartsAtZero() && u.Reward.StartsAtZero() {
 			return c.untilTimeReward(phi, psi, u.Time.Hi, u.Reward.Hi)
@@ -947,21 +928,36 @@ func (c *Checker) probUntil(u logic.Until) ([]float64, error) {
 	}
 }
 
+// derive returns a checker on m, a lump quotient or the dual model, with
+// this checker's options and worker count, recording to r. It is built by
+// New, not copied, so it gets its own memo and pool: their entries are
+// keyed to m. It does not lump: the query has partitioned the model
+// already.
+func (c *Checker) derive(m *mrm.MRM, r *obs.Recorder) *Checker {
+	opts := c.opts
+	opts.Lump = LumpOff
+	opts.Workers, opts.Obs = c.env.Workers, r
+	return New(m, opts)
+}
+
 func (c *Checker) transientOpts() transient.Options {
-	opts := transient.Options{
+	return transient.Options{
 		Epsilon:  c.opts.Epsilon,
-		Workers:  c.opts.Workers,
 		Truncate: c.opts.Truncate,
-		Pool:     c.pool,
-		Obs:      c.opts.Obs,
+		Cache:    c.cache(),
+		Env:      c.env,
 	}
-	if c.memo != nil {
-		// Guarded: wrapping a nil *memo in the interface would yield a
-		// non-nil transient.Cache whose methods still work (nil-receiver
-		// safe), but an honest nil keeps the intent visible.
-		opts.Cache = c.memo
+}
+
+// cache returns the memo as the procedures' cache, or nil for a zero
+// Checker literal. Wrapping a nil *memo in the interface would yield a
+// non-nil transient.Cache whose methods still work (nil-receiver safe),
+// but an honest nil keeps the intent visible.
+func (c *Checker) cache() transient.Cache {
+	if c.memo == nil {
+		return nil
 	}
-	return opts
+	return c.memo
 }
 
 // untilUnbounded implements the P0 procedure (Hansson–Jonsson [13]):
@@ -1051,7 +1047,7 @@ func (c *Checker) untilTimeInterval(phi, psi *mrm.StateSet, iv logic.Interval) (
 	// phaseOne masks tail into its own terminal vector; the residual-until
 	// buffer goes back to the pool rather than leaking out of the regime.
 	res, err := c.phaseOne(phi, tail, iv.Lo)
-	c.pool.Put(tail)
+	c.env.Pool.Put(tail)
 	if err != nil {
 		return nil, err
 	}
@@ -1169,10 +1165,10 @@ func (c *Checker) clampRectangleResidue(out []float64, nTerms int) error {
 		}
 		out[s] = 0
 	}
-	if c.opts.Obs != nil && residue > 0 {
+	if c.env.Obs != nil && residue > 0 {
 		// Measured cancellation magnitude, not a provable truncation bound:
 		// indicative, like sericola's clamp residue.
-		c.opts.Obs.ChargeIndicative("core", "rectangle-residue", residue)
+		c.env.Obs.ChargeIndicative("core", "rectangle-residue", residue)
 	}
 	return nil
 }
@@ -1220,13 +1216,13 @@ func (c *Checker) untilTimeRewardBatch(phi, psi *mrm.StateSet, t float64, rs []f
 	// The memoised reduction makes the corner evaluations of
 	// untilRectangle share one reduced model, which in turn lets the
 	// pointer-keyed uniformised-matrix cache hit across them.
-	span := c.opts.Obs.StartSpan("core.reduce")
+	span := c.env.Obs.StartSpan("core.reduce")
 	red, err := c.memo.Reduction(c.m, phi, psi)
 	span.End()
 	if err != nil {
 		return nil, err
 	}
-	span = c.opts.Obs.StartSpan("core.corner")
+	span = c.env.Obs.StartSpan("core.corner")
 	defer span.End()
 	goal := mrm.NewStateSetOf(red.Model.N(), red.Goal)
 	alg := c.opts.P3
@@ -1242,21 +1238,15 @@ func (c *Checker) untilTimeRewardBatch(phi, psi *mrm.StateSet, t float64, rs []f
 	// path too.
 	putPartial := func(upTo int) {
 		for _, v := range valuesList[:upTo] {
-			c.pool.Put(v)
+			c.env.Pool.Put(v)
 		}
 	}
 	switch alg {
 	case AlgSericola:
-		var cache transient.Cache
-		if c.memo != nil {
-			cache = c.memo
-		}
 		resList, err := sericola.ReachProbBatch(red.Model, goal, t, rs, sericola.Options{
 			Epsilon: c.opts.Epsilon,
-			Workers: c.opts.Workers,
-			Cache:   cache,
-			Pool:    c.pool,
-			Obs:     c.opts.Obs,
+			Cache:   c.cache(),
+			Env:     c.env,
 		})
 		if err != nil {
 			return nil, err
@@ -1292,10 +1282,8 @@ func (c *Checker) untilTimeRewardBatch(phi, psi *mrm.StateSet, t float64, rs []f
 				}
 			}
 			values, err := discretise.ReachProbAll(red.Model, goal, t, r, discretise.Options{
-				D:       d,
-				Workers: c.opts.Workers,
-				Pool:    c.pool,
-				Obs:     c.opts.Obs,
+				D:   d,
+				Env: c.env,
 			})
 			if err != nil {
 				putPartial(ri)
@@ -1315,7 +1303,7 @@ func (c *Checker) untilTimeRewardBatch(phi, psi *mrm.StateSet, t float64, rs []f
 		// The reduced-model vector is dead once mapped back; feed it to
 		// the pool so the next corner evaluation of untilRectangle reuses
 		// it.
-		c.pool.Put(values)
+		c.env.Pool.Put(values)
 		outs[ri] = out
 	}
 	return outs, nil

@@ -69,6 +69,26 @@ func TestRewardIntervalUsesPrimalSats(t *testing.T) {
 	}
 }
 
+// TestRewardIntervalChargesView pins that the dual-model checker of a
+// reward-interval until records to the recorder of the view it runs
+// under: the view's ledger holds the until's charges, and the recorder
+// the checker was built with holds none.
+func TestRewardIntervalChargesView(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Obs = obs.New()
+	c := New(dualBranchModel(t), opts)
+	rec := obs.New()
+	if _, err := c.WithRecorder(rec).Values(logic.MustParse("P=? [ !c U{r in [1,2]} c ]")); err != nil {
+		t.Fatal(err)
+	}
+	if rep := rec.Report(opts.Epsilon); rep.BudgetTotal <= 0 || rep.Counters["sweep.products"] == 0 {
+		t.Errorf("view's ledger lacks the dual sweeps' charges:\n%s", rep.Format())
+	}
+	if rep := opts.Obs.Report(opts.Epsilon); len(rep.Budget) != 0 || len(rep.Counters) != 0 {
+		t.Errorf("the checker's own recorder got the view's charges:\n%s", rep.Format())
+	}
+}
+
 // TestNumericsReportProvesBudget runs one time-bounded check with a
 // recorder attached and asserts the aggregate report: the ledgered
 // truncation charges must sum to at most the configured ε, and the memo,

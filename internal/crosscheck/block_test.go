@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/performability/csrl/internal/adhoc"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/sparse"
 )
@@ -30,7 +31,7 @@ func TestBatchedSericolaBitwiseEqualsVectorPathOnAdhoc(t *testing.T) {
 	rs := []float64{adhoc.Q3PaperRewardBound, 150, 350, 700}
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		opts := sericola.Options{Epsilon: 1e-8, Workers: workers, Pool: sparse.NewVecPool()}
+		opts := sericola.Options{Epsilon: 1e-8, Env: runenv.Env{Workers: workers, Pool: sparse.NewVecPool()}}
 		batch, err := sericola.ReachProbBatch(m, goal, tb, rs, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: batch: %v", workers, err)

@@ -9,6 +9,7 @@ import (
 	"github.com/performability/csrl/internal/discretise"
 	"github.com/performability/csrl/internal/erlang"
 	"github.com/performability/csrl/internal/parallel"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/transient"
 )
@@ -30,12 +31,12 @@ func TestAdhocParallelEquivalence(t *testing.T) {
 	workerGrid := []int{0, 4, runtime.NumCPU()}
 
 	t.Run("sericola", func(t *testing.T) {
-		seq, err := sericola.ReachProbAll(m, goal, tb, rb, sericola.Options{Epsilon: 1e-8, Workers: 1})
+		seq, err := sericola.ReachProbAll(m, goal, tb, rb, sericola.Options{Epsilon: 1e-8, Env: runenv.Env{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range workerGrid {
-			par, err := sericola.ReachProbAll(m, goal, tb, rb, sericola.Options{Epsilon: 1e-8, Workers: w})
+			par, err := sericola.ReachProbAll(m, goal, tb, rb, sericola.Options{Epsilon: 1e-8, Env: runenv.Env{Workers: w}})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
@@ -59,7 +60,7 @@ func TestAdhocParallelEquivalence(t *testing.T) {
 		// default, runs in one part. The backward sweep is bitwise
 		// stable across worker counts.
 		opts := func(w int) erlang.Options {
-			return erlang.Options{K: 512, Transient: transient.Options{Epsilon: 1e-12, Workers: w}}
+			return erlang.Options{K: 512, Transient: transient.Options{Epsilon: 1e-12, Env: runenv.Env{Workers: w}}}
 		}
 		seq, err := erlang.ReachProbAll(m, goal, tb, rb, opts(1))
 		if err != nil {
@@ -88,7 +89,7 @@ func TestAdhocParallelEquivalence(t *testing.T) {
 		// per-source fan-out plus the per-state inner loop above its
 		// grain: n·(R+1) = 9·1601).
 		dtb, drb := 2.0, 50.0
-		opts := discretise.Options{D: 1.0 / 32, Workers: 1}
+		opts := discretise.Options{D: 1.0 / 32, Env: runenv.Env{Workers: 1}}
 		seq, err := discretise.ReachProbAll(m, goal, dtb, drb, opts)
 		if err != nil {
 			t.Fatal(err)

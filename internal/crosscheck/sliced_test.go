@@ -8,6 +8,7 @@ import (
 
 	"github.com/performability/csrl/internal/adhoc"
 	"github.com/performability/csrl/internal/erlang"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sericola"
 	"github.com/performability/csrl/internal/sparse"
 	"github.com/performability/csrl/internal/transient"
@@ -115,11 +116,11 @@ func TestSharedPoolUnderConcurrency(t *testing.T) {
 	tb, rb := adhoc.Q3TimeBound, adhoc.Q3PaperRewardBound
 	const eps = 1e-8
 
-	refSer, err := sericola.ReachProbAll(m, goal, tb, rb, sericola.Options{Epsilon: eps, Workers: 1})
+	refSer, err := sericola.ReachProbAll(m, goal, tb, rb, sericola.Options{Epsilon: eps, Env: runenv.Env{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refTr, err := transient.ReachProbAll(m, goal, tb, transient.Options{Epsilon: eps, Workers: 1})
+	refTr, err := transient.ReachProbAll(m, goal, tb, transient.Options{Epsilon: eps, Env: runenv.Env{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +137,12 @@ func TestSharedPoolUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			serOut[i], errs[i] = sericola.ReachProbAll(m, goal, tb, rb,
-				sericola.Options{Epsilon: eps, Workers: workers, Pool: pool})
+				sericola.Options{Epsilon: eps, Env: runenv.Env{Workers: workers, Pool: pool}})
 		}()
 		go func() {
 			defer wg.Done()
 			trOut[i], errs[reps+i] = transient.ReachProbAll(m, goal, tb,
-				transient.Options{Epsilon: eps, Workers: workers, Pool: pool})
+				transient.Options{Epsilon: eps, Env: runenv.Env{Workers: workers, Pool: pool}})
 		}()
 	}
 	wg.Wait()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/runenv"
 )
 
 // referenceF1 is an independent straight-line implementation of the
@@ -134,12 +135,12 @@ func TestReachProbAllParallelEquivalence(t *testing.T) {
 	m := twoStateChain(t)
 	goal := m.Label("goal")
 	tb, rb, d := 0.5, 1.0, 1.0/256
-	seq, err := ReachProbAll(m, goal, tb, rb, Options{D: d, Workers: 1})
+	seq, err := ReachProbAll(m, goal, tb, rb, Options{D: d, Env: runenv.Env{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, runtime.NumCPU()} {
-		par, err := ReachProbAll(m, goal, tb, rb, Options{D: d, Workers: workers})
+		par, err := ReachProbAll(m, goal, tb, rb, Options{D: d, Env: runenv.Env{Workers: workers}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -172,12 +173,12 @@ func TestInnerLoopParallelEquivalence(t *testing.T) {
 	}
 	goal := m.Label("goal")
 	tb, rb, d := 1.0, 2.0, 1.0/128 // n·(R+1) = 40·257 ≫ grain
-	seq, err := ReachProb(m, goal, tb, rb, 0, Options{D: d, Workers: 1})
+	seq, err := ReachProb(m, goal, tb, rb, 0, Options{D: d, Env: runenv.Env{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4, 5} {
-		par, err := ReachProb(m, goal, tb, rb, 0, Options{D: d, Workers: workers})
+		par, err := ReachProb(m, goal, tb, rb, 0, Options{D: d, Env: runenv.Env{Workers: workers}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -21,8 +21,8 @@ import (
 
 	"github.com/performability/csrl/internal/graph"
 	"github.com/performability/csrl/internal/mrm"
-	"github.com/performability/csrl/internal/obs"
 	"github.com/performability/csrl/internal/parallel"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sparse"
 )
 
@@ -33,34 +33,19 @@ type Options struct {
 	// probability, and should be small enough that the probability of two
 	// transitions within d is negligible (the method's error source).
 	D float64
-	// Impulses optionally assigns impulse (transition) rewards: entry
-	// (s,s') is the reward earned instantaneously when the transition
-	// s→s' fires, in the same unit as the state rewards. Impulse rewards
-	// must be multiples of the step D. This is the paper's future-work
-	// extension, which the Tijms–Veldman scheme supports directly.
-	Impulses *sparse.CSR
 	// AllowCoarse permits steps d > 1/max_s E(s), for which the "stay"
 	// factor 1−E(s)·d of some state is negative. The recursion is then no
 	// longer a probability scheme but remains a (poorer) first-order
 	// approximation; the paper's Table 4 contains such a row (d = 1/16
 	// with max E(s) = 19.5), so reproduction needs this escape hatch.
 	AllowCoarse bool
-	// Workers bounds the parallelism of the recursion's per-state inner
-	// loop and of ReachProbAll's per-source fan-out:
-	// 0 = runtime.GOMAXPROCS(0), 1 = sequential. The per-state loop writes
-	// only state-owned rows, so results are bitwise independent of Workers.
-	Workers int
-	// Pool, when non-nil, supplies the n·(R+1) recursion grids. Each
-	// worker of the ReachProbAll fan-out checks its grids out at the start
-	// of its chunk and back in at the end — never across the parallel
-	// region boundary — so the |S| per-source runs stop allocating fresh
-	// grids per source.
-	Pool *sparse.VecPool
-	// Obs, when non-nil, receives the numerics-observability signals: the
-	// O(d) discretisation term as an indicative ledger entry (the method
-	// has no a-priori error bound — §4.3), source counters, grid gauges and
-	// the recursion span.
-	Obs *obs.Recorder
+	// Env is the run environment. Workers bounds the recursion's
+	// per-state inner loop, which writes only state-owned rows, and
+	// ReachProbAll's per-source fan-out. The pool supplies the n·(R+1)
+	// recursion grids; each worker of the fan-out checks its grids out at
+	// the start of its chunk and back in at the end, never across the
+	// parallel region boundary.
+	runenv.Env
 }
 
 var (
@@ -214,20 +199,12 @@ func prepare(m *mrm.MRM, goal *mrm.StateSet, t, r float64, opts Options, sources
 		}
 	}
 
-	// Impulse rewards: an explicit option overrides the model's own
-	// impulse matrix. A state reward ρ(s) advances the reward
-	// index by ρ(s) per time step (reward ρ(s)·d earned in a step of size
-	// d), whereas an impulse ι is a one-off quantity: its index shift is
-	// ι/d, which must therefore be integral.
-	impulseMat := opts.Impulses
-	if impulseMat == nil {
-		impulseMat = m.Impulses()
-	}
+	// Impulse rewards: a state reward ρ(s) advances the reward index by
+	// ρ(s) per time step (reward ρ(s)·d earned in a step of size d),
+	// whereas an impulse ι is a one-off quantity: its index shift is ι/d,
+	// which must therefore be integral.
 	var impulse *sparse.CSR
-	if impulseMat != nil {
-		if impulseMat.Dim() != n {
-			return nil, fmt.Errorf("discretise: impulse matrix dimension %d for %d states", impulseMat.Dim(), n)
-		}
+	if impulseMat := m.Impulses(); impulseMat != nil {
 		// Validated entry by entry, then transposed so row s lists the
 		// impulses of s's in-edges, like rt below.
 		var impErr error

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sparse"
 )
 
@@ -161,27 +162,29 @@ func TestImpulseRewards(t *testing.T) {
 	// Extension: an impulse of 3 on the only transition. With state
 	// rewards zero, Y at the jump is exactly 3, so the bound decides
 	// success sharply: r=2 → 0, r=3 → CDF of the jump by time t.
-	b := mrm.NewBuilder(2)
-	b.Rate(0, 1, 2)
-	b.Label(1, "goal")
-	m, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
+	jump := func(impulse float64) *mrm.MRM {
+		t.Helper()
+		b := mrm.NewBuilder(2)
+		b.Rate(0, 1, 2)
+		b.Impulse(0, 1, impulse)
+		b.Label(1, "goal")
+		m, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
+	m := jump(3)
 	goal := m.Label("goal")
-	imp, err := sparse.NewFromTriplets(2, []sparse.Triplet{{Row: 0, Col: 1, Val: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tb := 1.0
-	got, err := ReachProb(m, goal, tb, 2, 0, Options{D: 1.0 / 64, Impulses: imp})
+	got, err := ReachProb(m, goal, tb, 2, 0, Options{D: 1.0 / 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 0 {
 		t.Errorf("r below impulse: got %v, want 0", got)
 	}
-	got, err = ReachProb(m, goal, tb, 3, 0, Options{D: 1.0 / 64, Impulses: imp})
+	got, err = ReachProb(m, goal, tb, 3, 0, Options{D: 1.0 / 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,19 +193,11 @@ func TestImpulseRewards(t *testing.T) {
 		t.Errorf("r at impulse: got %v, want ≈ %v", got, want)
 	}
 	// Impulses that are not multiples of d are rejected.
-	impBad, err := sparse.NewFromTriplets(2, []sparse.Triplet{{Row: 0, Col: 1, Val: 0.01}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReachProb(m, goal, tb, 3, 0, Options{D: 1.0 / 64, Impulses: impBad}); !errors.Is(err, ErrRewards) {
+	if _, err := ReachProb(jump(0.01), goal, tb, 3, 0, Options{D: 1.0 / 64}); !errors.Is(err, ErrRewards) {
 		t.Errorf("non-grid impulse: %v", err)
 	}
 	// A fractional impulse that IS a multiple of d is fine.
-	impOK, err := sparse.NewFromTriplets(2, []sparse.Triplet{{Row: 0, Col: 1, Val: 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReachProb(m, goal, tb, 3, 0, Options{D: 1.0 / 64, Impulses: impOK}); err != nil {
+	if _, err := ReachProb(jump(0.5), goal, tb, 3, 0, Options{D: 1.0 / 64}); err != nil {
 		t.Errorf("grid-aligned impulse rejected: %v", err)
 	}
 }
@@ -329,7 +324,7 @@ func TestGridCapCountsRunsInFlight(t *testing.T) {
 	if _, err := prepare(m, goal, tb, rb, Options{D: d}, 2, 2); !errors.Is(err, ErrGrid) {
 		t.Errorf("two runs in flight: err %v, want ErrGrid", err)
 	}
-	if _, err := ReachProbAll(m, goal, tb, rb, Options{D: d, Workers: 2}); !errors.Is(err, ErrGrid) {
+	if _, err := ReachProbAll(m, goal, tb, rb, Options{D: d, Env: runenv.Env{Workers: 2}}); !errors.Is(err, ErrGrid) {
 		t.Errorf("ReachProbAll with two workers: err %v, want ErrGrid", err)
 	}
 }
@@ -393,7 +388,7 @@ func TestScratchReuseBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := prepare(m, m.Label("goal"), 2, 1.5, Options{D: 1.0 / 64, Workers: 1}, 3, 1)
+	p, err := prepare(m, m.Label("goal"), 2, 1.5, Options{D: 1.0 / 64, Env: runenv.Env{Workers: 1}}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,14 +114,13 @@ type Options struct {
 	// K is the number of Erlang phases (§4.2: "an appropriate value for k
 	// is not known a priori"; Table 3 sweeps it).
 	K int
-	// Transient configures the inner uniformisation; its Workers field
-	// also sets the parallelism of this procedure (the expanded |S|·k+1
-	// model makes the uniformisation sweeps the entire cost), and its
-	// SteadyDetect and Pool fields flow straight through — steady-state
-	// detection pays off particularly well here, since the absorbing
-	// barrier makes long sweeps converge before the Fox–Glynn window
-	// closes. Leave its Cache nil: the expansion is a fresh model per
-	// call, so a pointer-keyed matrix cache can never hit.
+	// Transient configures the inner uniformisation, and its Env is this
+	// procedure's run environment (the expanded |S|·k+1 model makes the
+	// uniformisation sweeps the entire cost). Its SteadyDetect flows
+	// straight through — steady-state detection pays off particularly well
+	// here, since the absorbing barrier makes long sweeps converge before
+	// the Fox–Glynn window closes. Leave its Cache nil: the expansion is a
+	// fresh model per call, so a pointer-keyed matrix cache can never hit.
 	Transient transient.Options
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/parallel"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/transient"
 )
 
@@ -179,7 +180,7 @@ func TestReachProbAllParallelEquivalence(t *testing.T) {
 	goal := m.Label("goal")
 	const tb, rb = 1.0, 256.0
 	opts := func(workers int) Options {
-		return Options{K: 256, Transient: transient.Options{Epsilon: 1e-12, Workers: workers}}
+		return Options{K: 256, Transient: transient.Options{Epsilon: 1e-12, Env: runenv.Env{Workers: workers}}}
 	}
 	seq, err := ReachProbAll(m, goal, tb, rb, opts(1))
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"github.com/performability/csrl/internal/erlang"
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/obs"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/transient"
 )
 
@@ -102,7 +103,7 @@ func TestGoldenReachProbAllBits(t *testing.T) {
 			name := fmt.Sprintf("%s/workers=%d", tc.name, workers)
 			rec := obs.New()
 			got, err := erlang.ReachProbAll(tc.m, tc.goal, tc.t, tc.r, erlang.Options{
-				K: tc.k, Transient: transient.Options{Epsilon: 1e-9, Workers: workers, Obs: rec},
+				K: tc.k, Transient: transient.Options{Epsilon: 1e-9, Env: runenv.Env{Workers: workers, Obs: rec}},
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

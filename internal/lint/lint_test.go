@@ -149,6 +149,7 @@ func goldenCases(mod string) []goldenCase {
 		{file: "ledgercharge/negative.go", pkgPath: fakePath, analyzer: "ledgercharge"},
 		{file: "poolescape/positive.go", pkgPath: fakePath, analyzer: "poolescape"},
 		{file: "poolescape/negative.go", pkgPath: fakePath, analyzer: "poolescape"},
+		{file: "poolescape/embedded.go", pkgPath: fakePath, analyzer: "poolescape"},
 		{file: "floatcmp/wrappers.go", pkgPath: fakePath, analyzer: "floatcmp"},
 		{file: "domainflow/positive.go", pkgPath: fakePath, analyzer: "domainflow"},
 		{file: "domainflow/negative.go", pkgPath: fakePath, analyzer: "domainflow"},

@@ -580,7 +580,8 @@ func poolInReach(info *types.Info, body *ast.BlockStmt) bool {
 }
 
 // structCarriesPool reports whether t (through pointers) is a struct with
-// a pool-typed field.
+// a pool-typed field, its own or promoted from a struct it embeds by
+// value (which cannot embed itself, so the recursion ends).
 func structCarriesPool(t types.Type) bool {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
@@ -590,7 +591,11 @@ func structCarriesPool(t types.Type) bool {
 		return false
 	}
 	for i := 0; i < st.NumFields(); i++ {
-		if isPoolType(st.Field(i).Type()) {
+		f := st.Field(i)
+		if isPoolType(f.Type()) {
+			return true
+		}
+		if _, byValue := f.Type().Underlying().(*types.Struct); f.Embedded() && byValue && structCarriesPool(f.Type()) {
 			return true
 		}
 	}

@@ -24,8 +24,10 @@ const impulseDoc = `{
 
 // FuzzDecode asserts that Decode never panics, whatever the input, and
 // that a decoded model encodes and re-decodes to the same states, names,
-// rewards, labels, rates, initial distribution and impulses. The seeds
-// are the package's sample, the station model and an impulse model.
+// rewards, labels, rates, initial distribution and impulses, and to the
+// same fingerprint, under which csrld registers a model. The seeds are the
+// package's sample, the station model, an impulse model and the corpus
+// under testdata/fuzz/FuzzDecode.
 func FuzzDecode(f *testing.F) {
 	station, err := os.ReadFile("../../testdata/station.json")
 	if err != nil {
@@ -49,6 +51,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if err := sameModel(m, again); err != nil {
 			t.Fatalf("round trip: %v\n%s", err, buf.Bytes())
+		}
+		if m.Fingerprint() != again.Fingerprint() {
+			t.Fatalf("round trip moved the fingerprint\n%s", buf.Bytes())
 		}
 	})
 }

@@ -1,6 +1,9 @@
 package mrm
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // fpModel builds a small labelled model; mutate tweaks the builder before
 // Build so each test case can perturb exactly one ingredient.
@@ -54,6 +57,16 @@ func TestFingerprintBuilderOrderIndependent(t *testing.T) {
 	}
 	if base.Fingerprint() != m.Fingerprint() {
 		t.Error("builder call order changed the fingerprint")
+	}
+}
+
+// TestFingerprintNegativeZero pins that a −0 reward or initial
+// probability is the +0 a model file that omits it decodes to.
+func TestFingerprintNegativeZero(t *testing.T) {
+	base := fpModel(t, func(b *Builder) { b.Reward(2, 0).InitialProb(2, 0) })
+	neg := fpModel(t, func(b *Builder) { b.Reward(2, math.Copysign(0, -1)).InitialProb(2, math.Copysign(0, -1)) })
+	if base.Fingerprint() != neg.Fingerprint() {
+		t.Error("−0 reward and initial probability changed the fingerprint")
 	}
 }
 

@@ -306,6 +306,9 @@ func (b *Builder) Reward(s int, r float64) *Builder {
 		b.errs = append(b.errs, fmt.Errorf("%w: reward ρ(%d)=%v", ErrModel, s, r))
 		return b
 	}
+	if r == 0 {
+		r = 0 // +0 for −0, as Fingerprint hashes bit patterns
+	}
 	b.reward[s] = r
 	return b
 }
@@ -357,6 +360,9 @@ func (b *Builder) InitialProb(s int, p float64) *Builder {
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		b.errs = append(b.errs, fmt.Errorf("%w: initial probability α(%d)=%v", ErrModel, s, p))
 		return b
+	}
+	if p == 0 {
+		p = 0 // +0 for −0, as Fingerprint hashes bit patterns
 	}
 	b.init[s] = p
 	return b

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sparse"
 )
 
@@ -24,7 +25,7 @@ func TestBatchBitwiseEqualsIndividual(t *testing.T) {
 	// repeated targets instead.
 	rs := []float64{0.4, 2.2, 0.9, 0.4}
 	for _, workers := range batchWorkers {
-		opts := Options{Epsilon: 1e-10, Workers: workers, Pool: sparse.NewVecPool()}
+		opts := Options{Epsilon: 1e-10, Env: runenv.Env{Workers: workers, Pool: sparse.NewVecPool()}}
 		batch, err := ReachProbBatch(m, goal, tb, rs, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: batch: %v", workers, err)
@@ -61,7 +62,7 @@ func TestMixedBatchSplitsBudget(t *testing.T) {
 	// rest are banded, so the batch exercises both legs on one call.
 	rs := []float64{0.4, 2.2, 5.0, 0.9}
 	for _, workers := range batchWorkers {
-		opts := Options{Epsilon: eps, Workers: workers, Pool: sparse.NewVecPool()}
+		opts := Options{Epsilon: eps, Env: runenv.Env{Workers: workers, Pool: sparse.NewVecPool()}}
 		batch, err := ReachProbBatch(m, goal, tb, rs, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: batch: %v", workers, err)
@@ -154,7 +155,7 @@ func TestBatchSharesPool(t *testing.T) {
 	goal := mrm.NewStateSetOf(m.N(), 1, 3)
 	pool := sparse.NewVecPool()
 	rs := []float64{0.4, 0.9, 2.2}
-	if _, err := ReachProbBatch(m, goal, 1.5, rs, Options{Epsilon: 1e-10, Pool: pool}); err != nil {
+	if _, err := ReachProbBatch(m, goal, 1.5, rs, Options{Epsilon: 1e-10, Env: runenv.Env{Pool: pool}}); err != nil {
 		t.Fatal(err)
 	}
 	stats := pool.Stats()
@@ -163,7 +164,7 @@ func TestBatchSharesPool(t *testing.T) {
 	}
 	// Re-running the identical batch must be served from the free lists.
 	before := stats.AllocBytes
-	if _, err := ReachProbBatch(m, goal, 1.5, rs, Options{Epsilon: 1e-10, Pool: pool}); err != nil {
+	if _, err := ReachProbBatch(m, goal, 1.5, rs, Options{Epsilon: 1e-10, Env: runenv.Env{Pool: pool}}); err != nil {
 		t.Fatal(err)
 	}
 	if after := pool.Stats().AllocBytes; after != before {

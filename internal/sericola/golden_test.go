@@ -12,6 +12,7 @@ import (
 	"github.com/performability/csrl/internal/adhoc"
 	"github.com/performability/csrl/internal/cluster"
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sericola"
 )
 
@@ -131,7 +132,7 @@ func TestGoldenReachProbBatchBits(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("%s/fullwidth=%v/workers=%d", tc.name, fullWidth, workers)
 				res, err := sericola.ReachProbBatch(tc.m, tc.goal, tc.t, tc.rs, sericola.Options{
-					Epsilon: tc.eps, Workers: workers, FullWidth: fullWidth,
+					Epsilon: tc.eps, Env: runenv.Env{Workers: workers}, FullWidth: fullWidth,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

@@ -6,6 +6,7 @@ import (
 
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/parallel"
+	"github.com/performability/csrl/internal/runenv"
 )
 
 // gridModel builds an n-state ring with three distinct rewards and every
@@ -45,14 +46,14 @@ func TestReachProbAllParallelEquivalence(t *testing.T) {
 		t.Fatalf("n·g = %d·%d below runGrain %d: the recursion would not fan out", n, g, runGrain)
 	}
 	const tb, rb = 0.8, 0.9 // binds: max accumulable reward is 2·tb
-	seq, err := ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Workers: 1})
+	seq, err := ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Env: runenv.Env{Workers: 1}})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
 	for _, workers := range []int{0, 2, 3, runtime.NumCPU()} {
 		var par *Result
 		fanned := fansOut(func() {
-			par, err = ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Workers: workers})
+			par, err = ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Env: runenv.Env{Workers: workers}})
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -82,12 +83,12 @@ func TestReachProbAllParallelVacuousBound(t *testing.T) {
 	goal := m.Label("goal")
 	const tb = 0.8
 	rb := 2*tb + 1 // exceeds max accumulable reward
-	seq, err := ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Workers: 1})
+	seq, err := ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Env: runenv.Env{Workers: 1}})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
 	var par *Result
-	if !fansOut(func() { par, err = ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Workers: 2}) }) {
+	if !fansOut(func() { par, err = ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-9, Env: runenv.Env{Workers: 2}}) }) {
 		t.Error("the transient sweep dispatched no parallel chunks")
 	}
 	if err != nil {

@@ -31,8 +31,8 @@ import (
 	"github.com/performability/csrl/internal/graph"
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/numeric"
-	"github.com/performability/csrl/internal/obs"
 	"github.com/performability/csrl/internal/parallel"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sparse"
 	"github.com/performability/csrl/internal/transient"
 )
@@ -43,11 +43,6 @@ type Options struct {
 	Epsilon float64
 	// Lambda overrides the uniformisation rate (0 = automatic).
 	Lambda float64
-	// Workers bounds the parallelism of the per-level row sweeps:
-	// 0 = runtime.GOMAXPROCS(0), 1 = sequential. The recursion is
-	// partitioned by matrix row, and every row's arithmetic runs in the
-	// sequential order, so results are bitwise independent of Workers.
-	Workers int
 	// FullWidth forces the recursion to carry all n columns instead of only
 	// the g goal columns. The sliced default performs the identical
 	// arithmetic on the goal columns, so results are bitwise equal; the
@@ -58,17 +53,11 @@ type Options struct {
 	// Poisson weight table; the vacuous-bound leg hands it on to its
 	// backward sweep.
 	Cache transient.Cache
-	// Pool, when non-nil, supplies the slab of the recursion's band
-	// tensors, its n×g accumulators and the scratch of the transient
-	// fallback. All of them are checked back in before ReachProbBatch
-	// returns; the result vectors are plain allocations owned by the
-	// caller.
-	Pool *sparse.VecPool
-	// Obs, when non-nil, receives the numerics-observability signals: the
-	// Poisson series remainder past N_ε in the error-budget ledger, the
-	// clamp residue as an indicative entry, level/band gauges and the
-	// recursion span. It is forwarded to the transient fallback.
-	Obs *obs.Recorder
+	// Env is the run environment, handed on whole to the transient
+	// fallback. The per-level sweeps are partitioned by matrix row. The
+	// pool supplies the band tensors and the n×g accumulators; the result
+	// vectors are plain allocations owned by the caller.
+	runenv.Env
 }
 
 // ErrTooLarge reports a recursion whose tensors would exceed maxHeld cells
@@ -915,17 +904,15 @@ func transientGoal(m *mrm.MRM, goal *mrm.StateSet, t, lambda, eps float64, opts 
 	topts := transient.Options{
 		Epsilon: eps,
 		Lambda:  lambda,
-		Workers: opts.Workers,
-		Pool:    opts.Pool,
-		Obs:     opts.Obs,
 		Cache:   opts.Cache,
+		Env:     opts.Env,
 	}
 	vals, err := transient.BackwardWeighted(m, goal.Indicator(), t, topts)
 	if err != nil {
 		return nil, err
 	}
-	// BackwardWeighted hands back a pool-borrowed buffer, but Options.Pool
-	// documents the result vector as a plain allocation owned by the
+	// BackwardWeighted hands back a pool-borrowed buffer, but Options
+	// documents the result vectors as plain allocations owned by the
 	// caller — copy out and check the borrowed buffer back in.
 	out := make([]float64, len(vals))
 	copy(out, vals)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sparse"
 )
 
@@ -247,7 +248,7 @@ func TestOversizedRecursionRefused(t *testing.T) {
 		{"work", jump, jump.Label("goal"), 3e5, []float64{1e5, 1e6}},
 	} {
 		pool := sparse.NewVecPool()
-		_, err := ReachProbBatch(tc.m, tc.goal, tc.t, tc.rs, Options{Epsilon: 1e-9, Pool: pool})
+		_, err := ReachProbBatch(tc.m, tc.goal, tc.t, tc.rs, Options{Epsilon: 1e-9, Env: runenv.Env{Pool: pool}})
 		if !errors.Is(err, ErrTooLarge) {
 			t.Errorf("%s: err %v, want ErrTooLarge", tc.name, err)
 		}
@@ -266,7 +267,7 @@ func TestRunSizeCountsPooledCells(t *testing.T) {
 	rs := []float64{0.4, 2.2, 0.9}
 	for _, fullWidth := range []bool{false, true} {
 		pool := sparse.NewVecPool()
-		res, err := ReachProbBatch(m, goal, 1.5, rs, Options{Epsilon: 1e-10, FullWidth: fullWidth, Pool: pool})
+		res, err := ReachProbBatch(m, goal, 1.5, rs, Options{Epsilon: 1e-10, FullWidth: fullWidth, Env: runenv.Env{Pool: pool}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/performability/csrl/internal/mrm"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sparse"
 )
 
@@ -93,7 +94,7 @@ func TestPoolReuseIsBitwiseStable(t *testing.T) {
 	}
 	pool := sparse.NewVecPool()
 	for rep := 0; rep < 3; rep++ {
-		pooled, err := ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-10, Pool: pool})
+		pooled, err := ReachProbAll(m, goal, tb, rb, Options{Epsilon: 1e-10, Env: runenv.Env{Pool: pool}})
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}

@@ -67,10 +67,9 @@ const maxUploadBytes = 16 << 20
 // Options configures a Server.
 type Options struct {
 	// Checker is the numerical configuration every model's shared checker
-	// runs with. Obs must be nil: recorders are per request by design.
+	// runs with. Obs must be nil: recorders are per request by design. A
+	// zero MemoCap means DefaultMemoCap.
 	Checker core.Options
-	// MemoCap overrides the per-table memo bound (0 = DefaultMemoCap).
-	MemoCap int
 	// BatchWindow is the admission coalescing window (0 = DefaultBatchWindow,
 	// negative = batching off).
 	BatchWindow time.Duration
@@ -107,8 +106,8 @@ func New(opts Options) (*Server, error) {
 	if opts.Checker.Obs != nil {
 		return nil, errors.New("service: Options.Checker.Obs must be nil; recorders are per-request")
 	}
-	if opts.MemoCap == 0 {
-		opts.MemoCap = DefaultMemoCap
+	if opts.Checker.MemoCap == 0 {
+		opts.Checker.MemoCap = DefaultMemoCap
 	}
 	if opts.BatchWindow == 0 {
 		opts.BatchWindow = DefaultBatchWindow
@@ -116,7 +115,6 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxModels == 0 {
 		opts.MaxModels = DefaultMaxModels
 	}
-	opts.Checker.MemoCap = opts.MemoCap
 	return &Server{opts: opts, models: make(map[string]*modelEntry)}, nil
 }
 
@@ -357,10 +355,7 @@ func (s *Server) check(entry *modelEntry, f logic.StateFormula, listStates bool)
 		if err != nil {
 			return nil, err
 		}
-		holds, err := view.Check(f)
-		if err != nil {
-			return nil, err
-		}
+		holds := core.HoldsInitially(entry.m, sat.Contains)
 		resp.Kind = "bounded"
 		resp.Holds = &holds
 		n := sat.Len()
@@ -406,13 +401,7 @@ func (s *Server) respondFromVector(entry *modelEntry, p logic.Prob, res batchRes
 		}
 	} else {
 		resp.Kind = "bounded"
-		holds := true
-		for st, alpha := range entry.m.InitView() {
-			if alpha > 0 && !p.Op.Compare(vals[st], p.Bound) {
-				holds = false
-				break
-			}
-		}
+		holds := core.HoldsInitially(entry.m, func(s int) bool { return p.Op.Compare(vals[s], p.Bound) })
 		count := 0
 		for _, v := range vals {
 			if p.Op.Compare(v, p.Bound) {

@@ -493,3 +493,63 @@ func TestOversizedSericolaIsRefused(t *testing.T) {
 		t.Fatalf("follow-up query: status %d, error %q", status, apiErr.Error)
 	}
 }
+
+// registered builds a server with the given checker options and batching
+// off, and returns it with the registry entry of the station model.
+func registered(t *testing.T, opts core.Options) (*Server, *modelEntry) {
+	t.Helper()
+	s, err := New(Options{Checker: opts, BatchWindow: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := adhoc.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _, err := s.Register(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, s.lookup(fp)
+}
+
+// TestCheckerMemoCapKept pins that a memo bound set in Options.Checker
+// reaches the model checkers: with one entry per table, two time bounds
+// need two Fox–Glynn tables, so the second evicts the first.
+func TestCheckerMemoCapKept(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.MemoCap = 1
+	s, entry := registered(t, opts)
+	for _, f := range []string{
+		"P=? [ !call_incoming U{t<=6} call_incoming ]",
+		"P=? [ !call_incoming U{t<=12} call_incoming ]",
+	} {
+		if _, err := s.check(entry, logic.MustParse(f), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ev := entry.checker.MemoStats().Evictions; ev == 0 {
+		t.Fatal("no memo eviction at MemoCap 1: the checker runs with another bound")
+	}
+}
+
+// TestBoundedCheckEvaluatesOnce pins that a bounded request's verdict and
+// satisfaction set come from one evaluation: its report counts the matrix
+// passes of one Sat, not of a Sat and a Check.
+func TestBoundedCheckEvaluatesOnce(t *testing.T) {
+	opts := core.DefaultOptions()
+	s, entry := registered(t, opts)
+	f := logic.MustParse("P>=0.5 [ !call_incoming U{t<=12} call_incoming ]")
+	resp, err := s.check(entry, f, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.New()
+	if _, err := core.New(entry.m, opts).WithRecorder(rec).Sat(f); err != nil {
+		t.Fatal(err)
+	}
+	want := rec.Report(0).Counters["sweep.products"]
+	if got := resp.Report.Counters["sweep.products"]; want == 0 || got != want {
+		t.Fatalf("sweep.products %d, want the %d of one evaluation", got, want)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"github.com/performability/csrl/internal/erlang"
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/obs"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/transient"
 )
 
@@ -224,7 +225,7 @@ func TestGoldenSweepBits(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				rec := obs.New()
-				out, err := tc.run(transient.Options{Workers: workers, Obs: rec})
+				out, err := tc.run(transient.Options{Env: runenv.Env{Workers: workers, Obs: rec}})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

@@ -9,6 +9,7 @@ import (
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/obs"
 	"github.com/performability/csrl/internal/parallel"
+	"github.com/performability/csrl/internal/runenv"
 )
 
 // bigRing builds a ring CTMC with forward/backward/skip transitions, large
@@ -36,13 +37,13 @@ func bigRing(t *testing.T, n int) *mrm.MRM {
 func TestBackwardWeightedParallelEquivalence(t *testing.T) {
 	m := bigRing(t, 600)
 	goal := m.Label("goal")
-	seqOpts := Options{Epsilon: 1e-12, Workers: 1}
+	seqOpts := Options{Epsilon: 1e-12, Env: runenv.Env{Workers: 1}}
 	want, err := ReachProbAll(m, goal, 1.3, seqOpts)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
 	for _, workers := range []int{0, 2, 4, runtime.NumCPU()} {
-		got, err := ReachProbAll(m, goal, 1.3, Options{Epsilon: 1e-12, Workers: workers})
+		got, err := ReachProbAll(m, goal, 1.3, Options{Epsilon: 1e-12, Env: runenv.Env{Workers: workers}})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -121,8 +122,8 @@ func TestSweepTeamExits(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"window end", Options{Epsilon: 1e-12, Workers: 4, SteadyDetect: SteadyOff}},
-		{"steady break", Options{Epsilon: 1e-6, Workers: 4}},
+		{"window end", Options{Epsilon: 1e-12, Env: runenv.Env{Workers: 4}, SteadyDetect: SteadyOff}},
+		{"steady break", Options{Epsilon: 1e-6, Env: runenv.Env{Workers: 4}}},
 	} {
 		base := runtime.NumGoroutine()
 		chunks := parallel.ChunkCount()
@@ -154,12 +155,12 @@ func TestSweepTeamExits(t *testing.T) {
 func TestSweepOneCoreBitwise(t *testing.T) {
 	m := bigRing(t, 600)
 	goal := m.Label("goal")
-	want, err := ReachProbAll(m, goal, 1.3, Options{Epsilon: 1e-12, Workers: 1})
+	want, err := ReachProbAll(m, goal, 1.3, Options{Epsilon: 1e-12, Env: runenv.Env{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	got, err := ReachProbAll(m, goal, 1.3, Options{Epsilon: 1e-12, Workers: 4})
+	got, err := ReachProbAll(m, goal, 1.3, Options{Epsilon: 1e-12, Env: runenv.Env{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

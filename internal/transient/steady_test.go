@@ -6,6 +6,7 @@ import (
 
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/numeric"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sparse"
 )
 
@@ -44,11 +45,11 @@ func TestSteadyDetectStopsEarly(t *testing.T) {
 	}
 	v := m.Label("sink").Indicator()
 
-	off, prodOff := sweep(p, v, w, q, Options{Epsilon: eps, Workers: 1, SteadyDetect: SteadyOff})
+	off, prodOff := sweep(p, v, w, q, Options{Epsilon: eps, Env: runenv.Env{Workers: 1}, SteadyDetect: SteadyOff})
 	if prodOff != w.Right {
 		t.Fatalf("detection off applied %d products, want the full window %d", prodOff, w.Right)
 	}
-	on, prodOn := sweep(p, v, w, q, Options{Epsilon: eps, Workers: 1})
+	on, prodOn := sweep(p, v, w, q, Options{Epsilon: eps, Env: runenv.Env{Workers: 1}})
 	if prodOn >= prodOff {
 		t.Fatalf("steady-state detection did not stop early: %d products vs %d", prodOn, prodOff)
 	}
@@ -107,8 +108,8 @@ func TestSteadyDetectFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on := Options{Epsilon: eps, Workers: 1}
-	off := Options{Epsilon: eps, Workers: 1, SteadyDetect: SteadyOff}
+	on := Options{Epsilon: eps, Env: runenv.Env{Workers: 1}}
+	off := Options{Epsilon: eps, Env: runenv.Env{Workers: 1}, SteadyDetect: SteadyOff}
 	fgEps, _, _ := on.budgetSplit(false)
 	w, err := on.poissonWeights(q, fgEps)
 	if err != nil {
@@ -173,7 +174,7 @@ func TestSweepPoolRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := sparse.NewVecPool()
-	pooled, err := ReachProbAll(m, goal, tb, Options{Epsilon: eps, Pool: pool})
+	pooled, err := ReachProbAll(m, goal, tb, Options{Epsilon: eps, Env: runenv.Env{Pool: pool}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/numeric"
-	"github.com/performability/csrl/internal/obs"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sparse"
 )
 
@@ -67,11 +67,6 @@ type Options struct {
 	// Lambda overrides the uniformisation rate; 0 selects
 	// MRM.UniformisationRate automatically.
 	Lambda float64
-	// Workers bounds the parallelism of the backward sweeps' matrix
-	// products: 0 = runtime.GOMAXPROCS(0), 1 = sequential. Results are
-	// bitwise identical at every value. The forward sweep runs sequentially
-	// and ignores it.
-	Workers int
 	// Truncate, when positive, turns on truncation in the forward sweep:
 	// after each uniformisation step, active states whose probability mass
 	// lies below the threshold are dropped from the sweep window, as long
@@ -98,17 +93,11 @@ type Options struct {
 	// Cache, when non-nil, memoises uniformised matrices and Fox–Glynn
 	// weight tables across calls.
 	Cache Cache
-	// Pool, when non-nil, supplies the sweep scratch vectors and the result
-	// accumulator. The two scratch vectors are returned to the pool before
-	// the sweep returns; ownership of the pool-born result slice transfers
-	// to the caller, who may Put it back once dead or simply drop it.
-	Pool *sparse.VecPool
-	// Obs, when non-nil, receives the numerics-observability signals of
-	// every sweep: the Fox–Glynn truncation masses and the steady-state
-	// tail charge in the error-budget ledger, product/window counters and
-	// the uniformise/sweep spans. Nil (the default) compiles the
-	// instrumentation down to pointer comparisons.
-	Obs *obs.Recorder
+	// Env is the run environment. Only the backward sweeps' matrix
+	// products fan out; the forward sweep runs sequentially. A sweep's
+	// result accumulator is pool-born and goes to the caller, who may Put
+	// it back once dead or simply drop it.
+	runenv.Env
 }
 
 // DefaultOptions returns the accuracy used throughout the test-suite.

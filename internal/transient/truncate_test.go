@@ -11,6 +11,7 @@ import (
 	"github.com/performability/csrl/internal/mrm"
 	"github.com/performability/csrl/internal/numeric"
 	"github.com/performability/csrl/internal/obs"
+	"github.com/performability/csrl/internal/runenv"
 	"github.com/performability/csrl/internal/sparse"
 )
 
@@ -166,7 +167,7 @@ func TestTruncatedSweepSoundBound(t *testing.T) {
 func TestDistributionFromTruncatedLedger(t *testing.T) {
 	m := birthDeath(t, 80, 1.0, 2.0)
 	rec := obs.New()
-	opts := Options{Epsilon: 1e-7, Truncate: 1e-10, Obs: rec}
+	opts := Options{Epsilon: 1e-7, Truncate: 1e-10, Env: runenv.Env{Obs: rec}}
 	dist, err := DistributionFrom(m, m.InitView(), 6.0, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +232,7 @@ func TestUntruncatedForwardChargesNoTruncation(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Epsilon: 1e-7, Obs: obs.New()}
+			opts := Options{Epsilon: 1e-7, Env: runenv.Env{Obs: obs.New()}}
 			if err := tc.run(opts); err != nil {
 				t.Fatal(err)
 			}
